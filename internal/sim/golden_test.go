@@ -152,3 +152,59 @@ func TestDESGoldenFilesCommitted(t *testing.T) {
 		}
 	}
 }
+
+// hybridGoldenCases pins the hybrid engine the same way: a 16-processor
+// tracked sample inside a 64-processor system, every sampler on, one case
+// per coupling path — plain steal, idle retries, steal-half, and
+// multi-task steals against the bulk and within the sample.
+func hybridGoldenCases() map[string]Options {
+	base := Options{
+		Engine: EngineHybrid, Tracked: 16,
+		N: 64, Lambda: 0.85, Service: dist.NewExponential(1), Policy: PolicySteal, T: 2,
+		Horizon: 1500, Warmup: 200,
+		TailDepth: 6, QueueHistDepth: 8, SojournHistMax: 50, SeriesEvery: 100,
+	}
+	mut := func(f func(o *Options)) Options {
+		o := base
+		f(&o)
+		return o
+	}
+	return map[string]Options{
+		"steal":      base,
+		"retry":      mut(func(o *Options) { o.RetryRate = 1 }),
+		"half":       mut(func(o *Options) { o.T = 4; o.Half = true }),
+		"multisteal": mut(func(o *Options) { o.T = 4; o.K = 2 }),
+	}
+}
+
+// TestHybridGoldenByteIdentity compares every hybrid case at the pinned
+// seeds against testdata/goldens/hybrid.golden.json. The file was
+// generated before the DES and hybrid engines were folded onto one shared
+// processor core; regenerate (go test ./internal/sim -run TestHybridGolden
+// -update) only for an intentional behavior change.
+func TestHybridGoldenByteIdentity(t *testing.T) {
+	out := make(map[string]json.RawMessage)
+	for name, o := range hybridGoldenCases() {
+		out[name] = goldenRun(t, o)
+	}
+	got, err := json.MarshalIndent(out, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	golden := filepath.Join("testdata", "goldens", "hybrid.golden.json")
+	if *updateGoldens {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("updated %s", golden)
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing hybrid golden: %v", err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("hybrid output drifted from its pin %s", golden)
+	}
+}
