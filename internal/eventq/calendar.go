@@ -21,7 +21,7 @@ import "math"
 // With the bucket width matched to the typical gap between pending event
 // times — which the simulator's merged exponential streams keep
 // near-uniform — each bucket holds O(1) events and Push, PopMin, and Peek
-// are O(1) amortized, versus the heap's O(log n). The width and bucket
+// are O(1) amortized, versus a heap's O(log n). The width and bucket
 // count are recalibrated adaptively (see recalibrate) from the live event
 // population, so no workload knowledge is required up front.
 //
@@ -29,8 +29,7 @@ import "math"
 // on equal timestamps. Bucketing and calibration only move events between
 // buckets; the day-membership check on both the push and drain sides is
 // the same ⌊t·inv⌋ arithmetic, so no calibration state can reorder two
-// events. The zero value is not ready for use; call NewCalendar (or
-// Q.Configure).
+// events. The zero value is not ready for use; call NewCalendar.
 type Calendar struct {
 	today []Event // pending events of day `day`, sorted by (Time, seq)
 	cur   int     // next index of today to pop
@@ -103,25 +102,12 @@ func newBuckets(nb int) [][]Event {
 // events. The width starts at 1 and is recalibrated from the live events
 // as soon as that guess proves wrong.
 func NewCalendar(n int) *Calendar {
-	q := &Calendar{}
-	q.sizeFor(n)
-	return q
-}
-
-// sizeFor (re)initializes q with buckets for about n events and the
-// default width. It is the shared constructor body for NewCalendar and
-// Q.Configure.
-func (q *Calendar) sizeFor(n int) {
 	nb := calMinBuckets
 	for nb < n && nb < calMaxBuckets {
 		nb <<= 1
 	}
-	today := q.today
-	if cap(today) < calTodayCap {
-		today = make([]Event, 0, calTodayCap)
-	}
-	*q = Calendar{b: newBuckets(nb), mask: int64(nb - 1), inv: 1,
-		today: today[:0], spill: q.spill}
+	return &Calendar{b: newBuckets(nb), mask: int64(nb - 1), inv: 1,
+		today: make([]Event, 0, calTodayCap)}
 }
 
 // Len returns the number of pending events. Keeping today's live

@@ -10,7 +10,7 @@ import (
 // exact pop sequence — (Time, seq) order with FIFO tie-breaking — because
 // the simulator's determinism contract (fixed-seed goldens, cluster
 // byte-identity, wscheck TOSTs) pins event orderings, not just event
-// multisets. The tests here drive both backends in lockstep over millions
+// multisets. The tests here drive both queues in lockstep over millions
 // of randomized operations in several regimes and demand identical events
 // from every pop.
 
@@ -224,61 +224,6 @@ func TestCalendarEmptyPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-// TestQDispatch covers the tagged-union wrapper: backend selection,
-// reconfiguration between kinds, and Reset-in-place reuse.
-func TestQDispatch(t *testing.T) {
-	var q Q
-	for _, k := range []Backend{BackendHeap, BackendCalendar, BackendHeap, BackendCalendar} {
-		q.Configure(k, 32)
-		if q.Backend() != k {
-			t.Fatalf("Backend() = %v after Configure(%v)", q.Backend(), k)
-		}
-		for i := int32(0); i < 10; i++ {
-			q.Push(Event{Time: 1, Proc: i}) // all ties: pins FIFO through the wrapper
-		}
-		if q.Peek().Proc != 0 {
-			t.Fatalf("%v: Peek().Proc = %d, want 0", k, q.Peek().Proc)
-		}
-		for i := int32(0); i < 10; i++ {
-			if e := q.PopMin(); e.Proc != i {
-				t.Fatalf("%v: pop %d returned proc %d", k, i, e.Proc)
-			}
-		}
-		if q.Len() != 0 {
-			t.Fatalf("%v: Len() = %d after drain", k, q.Len())
-		}
-		// Configure with the same kind must reuse (Reset) rather than
-		// rebuild: push/pop once more to show it is usable.
-		q.Configure(k, 32)
-		q.Push(Event{Time: 5})
-		if q.PopMin().Time != 5 {
-			t.Fatalf("%v: queue unusable after same-kind Configure", k)
-		}
-	}
-}
-
-// TestParseBackend covers the name mapping both ways.
-func TestParseBackend(t *testing.T) {
-	for _, k := range []Backend{BackendHeap, BackendCalendar} {
-		got, err := ParseBackend(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseBackend(%q) = %v, %v", k.String(), got, err)
-		}
-	}
-	if _, err := ParseBackend("splay"); err == nil {
-		t.Error("ParseBackend accepted an unknown backend")
-	}
-	if Backend(99).String() == "" {
-		t.Error("String() of unknown backend is empty")
-	}
-	if nb := NewBackend(BackendCalendar, 8); nb.Len() != 0 {
-		t.Error("NewBackend(calendar) not empty")
-	}
-	if nb := NewBackend(BackendHeap, 8); nb.Len() != 0 {
-		t.Error("NewBackend(heap) not empty")
 	}
 }
 

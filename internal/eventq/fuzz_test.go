@@ -4,7 +4,7 @@ import "testing"
 
 // FuzzEventQueue interprets the input as an operation stream and drives
 // the heap oracle and the calendar queue in lockstep: every pop (and the
-// final full drain) must return identical events from both backends, ties
+// final full drain) must return identical events from both queues, ties
 // included. Each operation consumes three bytes: an opcode and a 16-bit
 // quantized timestamp — quantization to 1/8 time units makes equal
 // timestamps common, so the FIFO tie-break is exercised constantly, and

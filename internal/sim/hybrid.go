@@ -8,7 +8,8 @@ package sim
 // is drawn against the current fluid tail vector s(t).
 //
 //   - Tracked processors receive their own Poisson arrivals and serve
-//     tasks exactly as in the DES engine.
+//     tasks exactly as in the DES engine: both run on the shared processor
+//     core (core.go), so this file holds only the coupling.
 //   - When a tracked thief steals, its victim is another tracked processor
 //     with probability Tracked/N (a real within-sample steal, including
 //     the self-draw that the DES victim sampler allows); otherwise the
@@ -45,12 +46,9 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/eventq"
-	"repro/internal/metrics"
 	"repro/internal/ode"
 	"repro/internal/rng"
-	"repro/internal/stats"
 )
 
 // hybridFluidStep is the fluid tick: the bulk state advances by one RK4
@@ -116,19 +114,11 @@ func (tailsCoupler) EmptyingRate(x []float64) float64 {
 
 func (tailsCoupler) EmptyingRateBound() float64 { return 1 }
 
-// hybridEngine is the tracked-sample-plus-fluid backend.
+// hybridEngine is the tracked-sample-plus-fluid backend: the shared
+// processor core over the Tracked sample, plus the Kurtz coupling to the
+// fluid bulk.
 type hybridEngine struct {
-	o   Options
-	r   *rng.Source
-	q   eventq.Q
-	cal *eventq.Calendar // q's calendar, non-nil iff it is the backend (see engine.cal)
-	ps  procSoA          // the tracked sample (struct-of-arrays, shared with the DES engine)
-
-	// Hot-path accelerators, mirroring the DES engine: direct exponential
-	// service sampling and a precomputed bounded sampler over the tracked
-	// population. Both leave every random stream byte-identical.
-	svcExp float64
-	pickT  rng.Bounded
+	procCore
 
 	// Fluid bulk. bulkTails and bulkTheta are snapshots of the coupler's
 	// tail vector and queue-emptying rate, refreshed after every fluid tick
@@ -146,47 +136,12 @@ type hybridEngine struct {
 	trackedFrac float64 // Tracked / N: chance a tracked thief picks a tracked victim
 	probeBound  float64 // merged thinning bound on the bulk probe process
 	alphaBar    float64 // per-processor bound on the fluid attempt rate α(t)
-
-	now          float64
-	totalTasks   int64
-	loadIntegral float64
-	loadSince    float64
-
-	res        Result
-	sojournSum float64
-	tails      *tailSampler
-	sojournH   *stats.Histogram
-	seriesT    []float64
-	seriesL    []float64
-
-	met          metrics.Metrics
-	sampleEvery  float64
-	qhist        []int64
-	qhistSamples int64
-
-	stealBuf []float64
 }
 
 // init prepares a fresh hybrid run of o on the given stream, recycling the
-// tracked-processor slice, event queue, and buffers of any previous run.
+// tracked-processor state, event list, and buffers of any previous run.
 func (h *hybridEngine) init(o Options, stream *rng.Source) {
-	h.o = o
-	h.r = stream
-	h.now = 0
-	h.totalTasks = 0
-	h.loadIntegral = 0
-	h.loadSince = 0
-	h.res = Result{DrainTime: -1}
-	h.res.P50, h.res.P95, h.res.P99 = math.NaN(), math.NaN(), math.NaN()
-	h.sojournSum = 0
-	h.tails = nil
-	h.sojournH = nil
-	h.seriesT = nil
-	h.seriesL = nil
-	h.met = metrics.Metrics{}
-	h.sampleEvery = 0
-	h.qhist = nil
-	h.qhistSamples = 0
+	h.reset(o, stream, o.Tracked)
 
 	m, _, err := fluidModel(&o)
 	if err != nil {
@@ -202,18 +157,6 @@ func (h *hybridEngine) init(o Options, stream *rng.Source) {
 	h.scratch = ode.NewRK4Scratch(m.Dim())
 	h.refreshBulk()
 
-	h.q.Configure(o.Queue, 4*o.Tracked)
-	h.cal = h.q.Cal()
-	h.ps.resize(o.Tracked)
-	if cap(h.stealBuf) == 0 {
-		h.stealBuf = make([]float64, 0, dequeArenaCap)
-	}
-	h.svcExp = 0
-	if ex, ok := o.Service.(dist.Exponential); ok {
-		h.svcExp = ex.Rate
-	}
-	h.pickT = rng.NewBounded(o.Tracked)
-
 	h.trackedFrac = float64(o.Tracked) / float64(o.N)
 	h.alphaBar = 0
 	h.probeBound = 0
@@ -227,22 +170,18 @@ func (h *hybridEngine) init(o Options, stream *rng.Source) {
 	}
 
 	// Priming events: the merged arrival stream of the sample, the fluid
-	// tick chain, the probe chain, and the samplers.
+	// tick chain, the probe chain, and the samplers. Unlike the DES engine,
+	// the series chain starts with an event at t = 0.
 	h.q.Push(eventq.Event{Time: h.r.Exp(o.Lambda * float64(o.Tracked)), Kind: evArrival})
 	h.q.Push(eventq.Event{Time: hybridFluidStep, Kind: evFluid})
 	if h.probeBound > 0 {
 		h.q.Push(eventq.Event{Time: h.r.Exp(h.probeBound), Kind: evProbe})
 	}
-	h.scheduleHybridSample()
+	h.scheduleFirstSample()
 	if o.SeriesEvery > 0 {
 		h.q.Push(eventq.Event{Time: 0, Kind: evSeries})
 	}
-	if o.SojournHistMax > 0 {
-		h.sojournH = stats.NewHistogram(0, o.SojournHistMax, 1000)
-	}
 }
-
-func (h *hybridEngine) result() Result { return h.res }
 
 // refreshBulk recomputes the tail and emptying-rate snapshots from the
 // fluid state; called whenever h.x changes (init and every fluid tick).
@@ -275,91 +214,6 @@ func (h *hybridEngine) alpha() float64 {
 	return a
 }
 
-// accountLoad integrates the tracked total-load process up to time t.
-func (h *hybridEngine) accountLoad(t float64) {
-	if t <= h.o.Warmup {
-		return
-	}
-	from := h.loadSince
-	if from < h.o.Warmup {
-		from = h.o.Warmup
-	}
-	if t > from {
-		h.loadIntegral += float64(h.totalTasks) * (t - from)
-	}
-	h.loadSince = t
-}
-
-func (h *hybridEngine) markBusy(p int32) { h.ps.busySince[p] = h.now }
-
-func (h *hybridEngine) markIdle(p int32) {
-	from := h.ps.busySince[p]
-	if from < h.o.Warmup {
-		from = h.o.Warmup
-	}
-	if h.now > from {
-		h.ps.busyTime[p] += h.now - from
-	}
-}
-
-// addTask enqueues a task at tracked processor p.
-func (h *hybridEngine) addTask(p int32, arrival float64) {
-	h.ps.pushBack(p, arrival)
-	h.ps.emptyEpoch[p]++
-	h.totalTasks++
-	if h.ps.qlen[p] == 1 {
-		h.markBusy(p)
-		h.scheduleDeparture(p)
-	}
-}
-
-func (h *hybridEngine) scheduleDeparture(p int32) {
-	if h.ps.qlen[p] == 0 {
-		return
-	}
-	var s float64
-	if h.svcExp > 0 {
-		s = h.r.Exp(h.svcExp)
-	} else {
-		s = h.o.Service.Sample(h.r)
-	}
-	s /= h.ps.rate[p]
-	dep := eventq.Event{Time: h.now + s, Kind: evDeparture, Proc: p}
-	if h.cal != nil {
-		h.cal.Push(dep)
-	} else {
-		h.q.Push(dep)
-	}
-}
-
-func (h *hybridEngine) completeTask(p int32) {
-	arrival := h.ps.popFront(p)
-	h.totalTasks--
-	h.met.Departures++
-	if arrival >= h.o.Warmup {
-		sj := h.now - arrival
-		h.sojournSum += sj
-		h.res.Measured++
-		if h.sojournH != nil {
-			h.sojournH.Add(sj)
-		}
-	}
-	if h.ps.qlen[p] > 0 {
-		h.scheduleDeparture(p)
-	} else {
-		h.markIdle(p)
-	}
-}
-
-// stealCount returns how many tasks a successful steal takes from a
-// load-j victim.
-func (h *hybridEngine) stealCount(load int) int {
-	if h.o.Half {
-		return (load + 1) / 2
-	}
-	return h.o.K
-}
-
 // sampleBulkLoad draws a bulk victim's queue length conditional on being
 // at or above the threshold: P(j ≥ l | j ≥ T) = s_l / s_T.
 func (h *hybridEngine) sampleBulkLoad() int {
@@ -381,35 +235,14 @@ func (h *hybridEngine) sampleBulkLoad() int {
 // self-draws included, mirroring the DES victim sampler); otherwise the
 // attempt is resolved against the fluid tails.
 func (h *hybridEngine) trySteal(thief int32) bool {
-	h.met.StealAttempts++
-	h.ps.stealAttempts[thief]++
+	h.countAttempt(thief)
 	if h.r.Float64() < h.trackedFrac {
-		v := int32(h.pickT.Next(h.r))
+		v := int32(h.pick.Next(h.r))
 		load := int(h.ps.qlen[v])
-		if load < h.o.T || load < 2 {
-			if load < 2 {
-				h.met.StealFailEmpty++
-			} else {
-				h.met.StealFailThreshold++
-			}
+		if !h.judgeSteal(thief, load, h.o.T) {
 			return false
 		}
-		h.met.StealSuccesses++
-		h.ps.stealSuccesses[thief]++
-		k := h.stealCount(load)
-		tmp := h.stealBuf[:0]
-		for j := 0; j < k; j++ {
-			tmp = append(tmp, h.ps.popBack(v))
-		}
-		h.stealBuf = tmp
-		for j := len(tmp) - 1; j >= 0; j-- {
-			h.ps.pushBack(thief, tmp[j])
-			h.ps.emptyEpoch[thief]++
-			if h.ps.qlen[thief] == 1 {
-				h.markBusy(thief)
-				h.scheduleDeparture(thief)
-			}
-		}
+		h.transfer(thief, v, h.stealCount(load))
 		return true
 	}
 	// Bulk victim: one uniform draw against the fluid tail resolves the
@@ -449,12 +282,7 @@ func (h *hybridEngine) afterCompletion(p int32) {
 		return
 	}
 	if h.o.RetryRate > 0 && h.ps.qlen[p] == 0 {
-		h.q.Push(eventq.Event{
-			Time:  h.now + h.r.Exp(h.o.RetryRate),
-			Kind:  evRetry,
-			Proc:  p,
-			Epoch: h.ps.emptyEpoch[p],
-		})
+		h.scheduleRetry(p)
 	}
 }
 
@@ -467,7 +295,7 @@ func (h *hybridEngine) probe() {
 	if h.r.Float64()*h.alphaBar >= h.alpha() {
 		return // thinned: the bulk attempt rate is below the bound
 	}
-	v := int32(h.pickT.Next(h.r))
+	v := int32(h.pick.Next(h.r))
 	load := int(h.ps.qlen[v])
 	if load < h.o.T || load < 2 {
 		return
@@ -481,61 +309,8 @@ func (h *hybridEngine) probe() {
 	h.met.BulkStolenTasks += int64(k)
 }
 
-// scheduleHybridSample arms the shared tail/queue-histogram chain.
-func (h *hybridEngine) scheduleHybridSample() {
-	o := &h.o
-	if o.TailDepth <= 0 && o.QueueHistDepth <= 0 {
-		return
-	}
-	every := o.TailEvery
-	if every <= 0 {
-		every = (o.Horizon - o.Warmup) / 1000
-		if every <= 0 {
-			every = 1
-		}
-	}
-	h.sampleEvery = every
-	if o.TailDepth > 0 {
-		h.tails = newTailSampler(o.TailDepth)
-	}
-	if o.QueueHistDepth > 0 {
-		h.qhist = make([]int64, o.QueueHistDepth)
-	}
-	h.q.Push(eventq.Event{Time: o.Warmup + every, Kind: evSample})
-}
-
-func (h *hybridEngine) handleSample() {
-	if h.tails != nil {
-		h.tails.sample(h.ps.qlen)
-		h.tails.nSamples++
-	}
-	if h.qhist != nil {
-		top := len(h.qhist) - 1
-		for _, ql := range h.ps.qlen {
-			l := int(ql)
-			if l > top {
-				l = top
-			}
-			h.qhist[l]++
-		}
-		h.qhistSamples++
-	}
-	next := h.now + h.sampleEvery
-	if next <= h.o.Horizon {
-		h.q.Push(eventq.Event{Time: next, Kind: evSample})
-	}
-}
-
-func (h *hybridEngine) handleSeries() {
-	h.seriesT = append(h.seriesT, h.now)
-	h.seriesL = append(h.seriesL, float64(h.totalTasks)/float64(h.o.Tracked))
-	next := h.now + h.o.SeriesEvery
-	if next <= h.o.Horizon {
-		h.q.Push(eventq.Event{Time: next, Kind: evSeries})
-	}
-}
-
-// run is the hybrid main loop.
+// run is the hybrid main loop. It runs to the horizon: the sample keeps
+// receiving arrivals, so there is no drain stop.
 func (h *hybridEngine) run() {
 	o := &h.o
 	wallStart := time.Now()
@@ -543,13 +318,7 @@ func (h *hybridEngine) run() {
 		if o.Stop != nil && h.met.Events&stopCheckMask == stopCheckMask && o.Stop.Load() {
 			break
 		}
-		// See engine.run: the calendar PopMin fast path inlines here.
-		var ev eventq.Event
-		if h.cal != nil {
-			ev = h.cal.PopMin()
-		} else {
-			ev = h.q.PopMin()
-		}
+		ev := h.q.PopMin() // inlined, as in engine.run
 		if ev.Time > o.Horizon {
 			break
 		}
@@ -559,15 +328,9 @@ func (h *hybridEngine) run() {
 
 		switch ev.Kind {
 		case evArrival:
-			p := int32(h.pickT.Next(h.r))
-			h.addTask(p, h.now)
+			h.addTask(int32(h.pick.Next(h.r)), h.now)
 			h.met.Arrivals++
-			next := eventq.Event{Time: h.now + h.r.Exp(o.Lambda*float64(o.Tracked)), Kind: evArrival}
-			if h.cal != nil {
-				h.cal.Push(next)
-			} else {
-				h.q.Push(next)
-			}
+			h.q.Push(eventq.Event{Time: h.now + h.r.Exp(o.Lambda*float64(o.Tracked)), Kind: evArrival})
 
 		case evDeparture:
 			h.completeTask(ev.Proc)
@@ -581,12 +344,7 @@ func (h *hybridEngine) run() {
 			}
 			h.met.Retries++
 			if !h.trySteal(p) {
-				h.q.Push(eventq.Event{
-					Time:  h.now + h.r.Exp(o.RetryRate),
-					Kind:  evRetry,
-					Proc:  p,
-					Epoch: h.ps.emptyEpoch[p],
-				})
+				h.scheduleRetry(p)
 			}
 
 		case evFluid:
@@ -609,83 +367,5 @@ func (h *hybridEngine) run() {
 			h.handleSeries()
 		}
 	}
-	end := o.Horizon
-	h.accountLoad(end)
-	h.res.End = end
-
-	if h.res.Measured > 0 {
-		h.res.MeanSojourn = h.sojournSum / float64(h.res.Measured)
-	}
-	if span := end - o.Warmup; span > 0 {
-		h.res.MeanLoad = h.loadIntegral / span / float64(o.Tracked)
-	}
-	if h.tails != nil {
-		h.res.Tails = h.tails.tails()
-	}
-	h.res.SeriesTimes = h.seriesT
-	h.res.SeriesLoads = h.seriesL
-	if h.sojournH != nil && h.sojournH.Count() > 0 {
-		h.res.P50 = h.sojournH.Quantile(0.50)
-		h.res.P95 = h.sojournH.Quantile(0.95)
-		h.res.P99 = h.sojournH.Quantile(0.99)
-	}
-	h.finishMetrics(end, time.Since(wallStart))
-}
-
-// finishMetrics closes the observability layer over the tracked sample:
-// per-processor entries, utilization, and the queue histogram are all
-// normalized by Tracked, the number of processors actually measured.
-func (h *hybridEngine) finishMetrics(end float64, wall time.Duration) {
-	o := &h.o
-	h.met.Duration = end
-	span := end - o.Warmup
-	h.met.Span = 0
-	if span > 0 {
-		h.met.Span = span
-	}
-
-	var busySum float64
-	h.met.PerProc = make([]metrics.ProcMetrics, o.Tracked)
-	for i := 0; i < o.Tracked; i++ {
-		if h.ps.qlen[i] > 0 {
-			from := h.ps.busySince[i]
-			if from < o.Warmup {
-				from = o.Warmup
-			}
-			if end > from {
-				h.ps.busyTime[i] += end - from
-			}
-		}
-		pm := &h.met.PerProc[i]
-		pm.StealAttempts = h.ps.stealAttempts[i]
-		pm.StealSuccesses = h.ps.stealSuccesses[i]
-		pm.BusyTime = h.ps.busyTime[i]
-		if span > 0 {
-			pm.Utilization = h.ps.busyTime[i] / span
-		}
-		busySum += h.ps.busyTime[i]
-	}
-	if span > 0 {
-		h.met.Utilization = busySum / span / float64(o.Tracked)
-	}
-
-	if h.qhistSamples > 0 {
-		h.met.QueueHist = make([]float64, len(h.qhist))
-		denom := float64(h.qhistSamples) * float64(o.Tracked)
-		for i, c := range h.qhist {
-			h.met.QueueHist[i] = float64(c) / denom
-		}
-		h.met.QueueHistSamples = h.qhistSamples
-	}
-
-	h.met.WallSeconds = wall.Seconds()
-	if h.met.WallSeconds > 0 {
-		h.met.EventsPerSec = float64(h.met.Events) / h.met.WallSeconds
-	}
-
-	h.res.Arrived = h.met.Arrivals
-	h.res.Completed = h.met.Departures
-	h.res.StealAttempts = h.met.StealAttempts
-	h.res.StealSuccesses = h.met.StealSuccesses
-	h.res.Metrics = h.met
+	h.finish(o.Horizon, wallStart)
 }

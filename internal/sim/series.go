@@ -10,32 +10,27 @@ import "repro/internal/eventq"
 // draining a static system — can be laid directly over the integrated
 // differential equations.
 
-// seriesSampler records mean-load snapshots on a fixed time grid.
-type seriesSampler struct {
-	every float64
-	times []float64
-	loads []float64
-}
-
-// scheduleSeries arms the series chain at t = 0 (the initial state is
-// recorded immediately).
+// scheduleSeries arms the DES series chain: the initial state is recorded
+// inline at t = 0 and the first event fires at SeriesEvery. (The hybrid
+// engine arms its chain with an event at t = 0 instead; see
+// hybridEngine.init.)
 func (e *engine) scheduleSeries() {
 	if e.o.SeriesEvery <= 0 {
 		return
 	}
-	e.series = &seriesSampler{every: e.o.SeriesEvery}
-	e.series.times = append(e.series.times, 0)
-	e.series.loads = append(e.series.loads, float64(e.totalTasks)/float64(e.o.N))
+	e.seriesTimes = append(e.seriesTimes, 0)
+	e.seriesLoads = append(e.seriesLoads, float64(e.totalTasks)/float64(e.n))
 	e.q.Push(eventq.Event{Time: e.o.SeriesEvery, Kind: evSeries})
 }
 
-// handleSeries records a snapshot and re-arms the chain.
-func (e *engine) handleSeries() {
-	e.series.times = append(e.series.times, e.now)
-	e.series.loads = append(e.series.loads, float64(e.totalTasks)/float64(e.o.N))
-	next := e.now + e.series.every
-	if next <= e.o.Horizon {
-		e.q.Push(eventq.Event{Time: next, Kind: evSeries})
+// handleSeries records a snapshot of the mean load per simulated processor
+// and re-arms the chain.
+func (c *procCore) handleSeries() {
+	c.seriesTimes = append(c.seriesTimes, c.now)
+	c.seriesLoads = append(c.seriesLoads, float64(c.totalTasks)/float64(c.n))
+	next := c.now + c.o.SeriesEvery
+	if next <= c.o.Horizon {
+		c.q.Push(eventq.Event{Time: next, Kind: evSeries})
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dist"
-	"repro/internal/eventq"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -65,14 +64,6 @@ type Options struct {
 	// the remaining N−Tracked processors are represented by the fluid
 	// state. Must be 0 for the other engines.
 	Tracked int
-	// Queue selects the future-event-list backend for the DES and hybrid
-	// engines: eventq.BackendCalendar (the default — O(1) amortized
-	// calendar queue) or eventq.BackendHeap (the O(log n) binary heap,
-	// kept as the correctness oracle). The two backends produce identical
-	// pop sequences, FIFO tie-breaks included, so every fixed-seed result
-	// is byte-identical under either; the choice is purely a performance
-	// knob. Ignored by EngineFluid, which schedules no events.
-	Queue eventq.Backend
 	// N is the number of processors (≥ 2 when stealing is enabled).
 	N int
 	// Lambda is the external per-processor Poisson task arrival rate.

@@ -63,47 +63,47 @@ func (ts *tailSampler) tails() []float64 {
 // tail sampler (Options.TailDepth) and the queue-length histogram of the
 // metrics layer (Options.QueueHistDepth). Both snapshot on the same
 // evSample tick at the TailEvery cadence.
-func (e *engine) scheduleFirstSample() {
-	if e.o.TailDepth <= 0 && e.o.QueueHistDepth <= 0 {
+func (c *procCore) scheduleFirstSample() {
+	if c.o.TailDepth <= 0 && c.o.QueueHistDepth <= 0 {
 		return
 	}
-	every := e.o.TailEvery
+	every := c.o.TailEvery
 	if every <= 0 {
-		every = (e.o.Horizon - e.o.Warmup) / 1000
+		every = (c.o.Horizon - c.o.Warmup) / 1000
 		if every <= 0 {
 			every = 1
 		}
 	}
-	e.sampleEvery = every
-	if e.o.TailDepth > 0 {
-		e.tails = newTailSampler(e.o.TailDepth)
+	c.sampleEvery = every
+	if c.o.TailDepth > 0 {
+		c.tails = newTailSampler(c.o.TailDepth)
 	}
-	if e.o.QueueHistDepth > 0 {
-		e.qhist = make([]int64, e.o.QueueHistDepth)
+	if c.o.QueueHistDepth > 0 {
+		c.qhist = make([]int64, c.o.QueueHistDepth)
 	}
-	e.q.Push(eventq.Event{Time: e.o.Warmup + every, Kind: evSample})
+	c.q.Push(eventq.Event{Time: c.o.Warmup + every, Kind: evSample})
 }
 
 // handleSample records a snapshot and re-arms the chain.
-func (e *engine) handleSample() {
-	if e.tails != nil {
-		e.tails.sample(e.ps.qlen)
-		e.tails.nSamples++
+func (c *procCore) handleSample() {
+	if c.tails != nil {
+		c.tails.sample(c.ps.qlen)
+		c.tails.nSamples++
 	}
-	if e.qhist != nil {
-		top := len(e.qhist) - 1
-		for _, ql := range e.ps.qlen {
+	if c.qhist != nil {
+		top := len(c.qhist) - 1
+		for _, ql := range c.ps.qlen {
 			l := int(ql)
 			if l > top {
 				l = top
 			}
-			e.qhist[l]++
+			c.qhist[l]++
 		}
-		e.qhistSamples++
+		c.qhistSamples++
 	}
-	next := e.now + e.sampleEvery
-	if next <= e.o.Horizon {
-		e.q.Push(eventq.Event{Time: next, Kind: evSample})
+	next := c.now + c.sampleEvery
+	if next <= c.o.Horizon {
+		c.q.Push(eventq.Event{Time: next, Kind: evSample})
 	}
 }
 
