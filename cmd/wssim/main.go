@@ -26,9 +26,7 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -189,24 +187,11 @@ func run() (code int) {
 		arrName = arrProc.Name()
 	}
 	if *jsonFlag {
-		out := struct {
-			Engine   string          `json:"engine"`
-			Tracked  int             `json:"tracked,omitempty"`
-			N        int             `json:"n"`
-			Lambda   float64         `json:"lambda"`
-			Policy   string          `json:"policy"`
-			Service  string          `json:"service"`
-			Arrivals string          `json:"arrivals,omitempty"`
-			Reps     int             `json:"reps"`
-			Horizon  float64         `json:"horizon"`
-			Warmup   float64         `json:"warmup"`
-			Sojourn  stats.Summary   `json:"sojourn"`
-			Load     stats.Summary   `json:"load"`
-			Drain    stats.Summary   `json:"drain"`
-			Tails    []float64       `json:"tails,omitempty"`
-			Metrics  metrics.Summary `json:"metrics"`
-		}{kind.String(), *tracked, *n, *lambda, *policy, svc.String(), arrName, *reps, *horizon, w,
-			agg.Sojourn, agg.Load, agg.Drain, agg.Tails, agg.Metrics}
+		out := experiments.SimReport{
+			Engine: kind.String(), Tracked: *tracked, N: *n, Lambda: *lambda, Policy: *policy,
+			Service: svc.String(), Arrivals: arrName, Reps: *reps, Horizon: *horizon, Warmup: w,
+			Sojourn: agg.Sojourn, Load: agg.Load, Drain: agg.Drain, Tails: agg.Tails, Metrics: agg.Metrics,
+		}
 		if err := cliutil.WriteJSON(os.Stdout, out); err != nil {
 			fmt.Fprintln(os.Stderr, "wssim:", err)
 			return 1

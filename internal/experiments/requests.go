@@ -316,22 +316,16 @@ func (s *ODESpec) Validate() error {
 	return nil
 }
 
-// BuildModel normalizes, validates, and constructs the model.
+// BuildModel normalizes, validates, and constructs the model. The ODE
+// models are a subset of the fixed-point models with the same defaults, so
+// construction is FixedPointSpec's.
 func (s *ODESpec) BuildModel() (core.Model, error) {
 	s.Normalize()
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	switch s.Model {
-	case "nosteal":
-		return meanfield.NewNoSteal(s.Lambda), nil
-	case "simple":
-		return meanfield.NewSimpleWS(s.Lambda), nil
-	case "threshold":
-		return meanfield.NewThreshold(s.Lambda, s.T), nil
-	default:
-		return meanfield.NewChoices(s.Lambda, s.T, s.D), nil
-	}
+	fp := FixedPointSpec{Model: s.Model, Lambda: s.Lambda, T: s.T, D: s.D}
+	return fp.BuildModel()
 }
 
 // ODEPoint is one sampled trajectory point: the state at time T, its mean

@@ -3,8 +3,6 @@ package meanfield
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/core"
 )
 
 // Choices is the multiple-choices model (§3.3), the stealing analogue of
@@ -19,51 +17,24 @@ import (
 //
 // (1−s_T)^d is the probability all d sampled victims fall below the
 // threshold; (1−s_{i+1})^d − (1−s_i)^d is the probability the maximum of
-// the d sampled loads is exactly i. d = 1 recovers Threshold.
+// the d sampled loads is exactly i. d = 1 recovers threshold stealing.
 type Choices struct {
-	base
-	t, d int
+	tails
+	d int
 }
 
 // NewChoices constructs the d-choices model with arrival rate λ,
 // threshold T ≥ 2 and d ≥ 1 victim samples.
 func NewChoices(lambda float64, t, d int) *Choices {
-	checkLambda(lambda)
 	if t < 2 {
 		panic("meanfield: Choices needs T >= 2")
 	}
 	if d < 1 {
 		panic("meanfield: Choices needs d >= 1")
 	}
-	dim := taskDim(lambda)
-	if dim < t+8 {
-		dim = t + 8
-	}
-	return &Choices{
-		base: base{name: fmt.Sprintf("choices(T=%d,d=%d)", t, d), lambda: lambda, dim: dim},
-		t:    t,
-		d:    d,
-	}
-}
-
-// T returns the stealing threshold.
-func (m *Choices) T() int { return m.t }
-
-// D returns the number of victims sampled per steal attempt.
-func (m *Choices) D() int { return m.d }
-
-// Initial returns the empty system.
-func (m *Choices) Initial() []float64 { return core.EmptyTails(m.dim) }
-
-// WarmStart returns the single-choice closed form; more choices only thin
-// the tails further.
-func (m *Choices) WarmStart() []float64 {
-	cf := SolveThreshold(m.lambda, m.t)
-	x := make([]float64, m.dim)
-	for i := range x {
-		x[i] = cf.Pi(i)
-	}
-	return x
+	// The single-choice closed form is the warm start; more choices only
+	// thin the tails further.
+	return &Choices{newTails(fmt.Sprintf("choices(T=%d,d=%d)", t, d), lambda, t, thresholdStart), d}
 }
 
 // powd raises v to the integer power d, cheap for the small d used here.
@@ -103,9 +74,3 @@ func (m *Choices) Derivs(x, dx []float64) {
 		dx[i] = d
 	}
 }
-
-// Project restores tail feasibility.
-func (m *Choices) Project(x []float64) { core.ProjectTails(x) }
-
-// MeanTasks returns the expected tasks per processor at state x.
-func (m *Choices) MeanTasks(x []float64) float64 { return core.MeanFromTails(x) }

@@ -36,7 +36,7 @@ import (
 // For i ≥ T the tails are again geometric with ratio λ/(1 + λ − π₂).
 // T = 2 recovers the simple-WS formulas.
 
-// SimpleWSFixedPoint holds the closed-form equilibrium of SimpleWS.
+// SimpleWSFixedPoint holds the closed-form equilibrium of simple WS.
 type SimpleWSFixedPoint struct {
 	Lambda float64
 	Pi2    float64 // fraction of processors with ≥ 2 tasks

@@ -1,10 +1,6 @@
 package meanfield
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-)
+import "fmt"
 
 // MultiSteal is the multiple-steals model (§3.4): when the threshold T for
 // stealing is high, taking k ≤ T/2 tasks per steal amortizes the attempt.
@@ -19,50 +15,25 @@ import (
 //
 // The victim-loss term at index i covers victims with loads in
 // [max(i, T), i+k−1], whose steal drops them below i. k = 1 recovers
-// Threshold.
+// threshold stealing.
 type MultiSteal struct {
-	base
-	t, k int
+	tails
+	k int
 }
 
 // NewMultiSteal constructs the model with arrival rate λ, threshold T ≥ 2,
 // and k tasks stolen per success, requiring 1 ≤ k ≤ T/2 as in the paper.
 func NewMultiSteal(lambda float64, t, k int) *MultiSteal {
-	checkLambda(lambda)
 	if t < 2 {
 		panic("meanfield: MultiSteal needs T >= 2")
 	}
 	if k < 1 || 2*k > t {
 		panic(fmt.Sprintf("meanfield: MultiSteal needs 1 <= k <= T/2, got k=%d T=%d", k, t))
 	}
-	dim := taskDim(lambda)
-	if dim < t+k+8 {
-		dim = t + k + 8
-	}
-	return &MultiSteal{
-		base: base{name: fmt.Sprintf("multisteal(T=%d,k=%d)", t, k), lambda: lambda, dim: dim},
-		t:    t,
-		k:    k,
-	}
-}
-
-// T returns the stealing threshold.
-func (m *MultiSteal) T() int { return m.t }
-
-// K returns the number of tasks taken per steal.
-func (m *MultiSteal) K() int { return m.k }
-
-// Initial returns the empty system.
-func (m *MultiSteal) Initial() []float64 { return core.EmptyTails(m.dim) }
-
-// WarmStart returns the k = 1 closed form.
-func (m *MultiSteal) WarmStart() []float64 {
-	cf := SolveThreshold(m.lambda, m.t)
-	x := make([]float64, m.dim)
-	for i := range x {
-		x[i] = cf.Pi(i)
-	}
-	return x
+	// The k = 1 closed form is the warm start; Derivs reads up to s_{T+k}.
+	m := &MultiSteal{newTails(fmt.Sprintf("multisteal(T=%d,k=%d)", t, k), lambda, t, thresholdStart), k}
+	m.dim = max(m.dim, t+k+8)
+	return m
 }
 
 // Derivs implements the five-band system with boundary s_{dim} = 0.
@@ -97,9 +68,3 @@ func (m *MultiSteal) Derivs(x, dx []float64) {
 		dx[i] = d
 	}
 }
-
-// Project restores tail feasibility.
-func (m *MultiSteal) Project(x []float64) { core.ProjectTails(x) }
-
-// MeanTasks returns the expected tasks per processor at state x.
-func (m *MultiSteal) MeanTasks(x []float64) float64 { return core.MeanFromTails(x) }

@@ -1,7 +1,5 @@
 package meanfield
 
-import "repro/internal/core"
-
 // NoSteal is the baseline system without work stealing (§2.2, equation (1)):
 //
 //	ds_i/dt = λ(s_{i−1} − s_i) − (s_i − s_{i+1})
@@ -9,20 +7,13 @@ import "repro/internal/core"
 // Each processor is an independent M/M/1 queue; the fixed point is
 // π_i = λ^i and the expected time in system is 1/(1−λ).
 type NoSteal struct {
-	base
+	tails
 }
 
 // NewNoSteal constructs the no-stealing baseline at arrival rate λ.
 func NewNoSteal(lambda float64) *NoSteal {
-	checkLambda(lambda)
-	return &NoSteal{base{name: "nosteal", lambda: lambda, dim: taskDim(lambda)}}
+	return &NoSteal{newTails("nosteal", lambda, 0, geometricStart)}
 }
-
-// Initial returns the empty system.
-func (m *NoSteal) Initial() []float64 { return core.EmptyTails(m.dim) }
-
-// WarmStart returns the known equilibrium itself.
-func (m *NoSteal) WarmStart() []float64 { return core.GeometricTails(m.lambda, m.dim) }
 
 // Derivs implements equation (1). Boundary convention: s_{dim} = 0.
 func (m *NoSteal) Derivs(x, dx []float64) {
@@ -37,9 +28,3 @@ func (m *NoSteal) Derivs(x, dx []float64) {
 		dx[i] = lambda*(x[i-1]-x[i]) - (x[i] - next)
 	}
 }
-
-// Project restores tail feasibility.
-func (m *NoSteal) Project(x []float64) { core.ProjectTails(x) }
-
-// MeanTasks returns the expected tasks per processor at state x.
-func (m *NoSteal) MeanTasks(x []float64) float64 { return core.MeanFromTails(x) }

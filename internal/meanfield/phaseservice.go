@@ -39,7 +39,7 @@ import (
 //
 // T = 0 disables stealing (the M/PH/1 mean field). The same derivation
 // with exponential service (one phase, μ = 1) reduces exactly to the
-// paper's Threshold model, which the tests pin.
+// paper's threshold model, which the tests pin.
 //
 // The model implements core.StealCoupler, so the hybrid engine can couple
 // its tracked sample against this state: task tails by suffix-summing the
@@ -193,9 +193,6 @@ func NewPhaseService(lambda float64, ph dist.PhaseType, t int, retry float64) *P
 		cbuf:   make([]float64, levels+2),
 	}
 }
-
-// T returns the steal threshold (0 = no stealing).
-func (m *PhaseService) T() int { return m.t }
 
 // Phases returns the service-phase count J.
 func (m *PhaseService) Phases() int { return m.nph }

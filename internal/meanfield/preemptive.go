@@ -1,10 +1,6 @@
 package meanfield
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-)
+import "fmt"
 
 // Preemptive is the preemptive-stealing model (§2.4): instead of waiting
 // until it is empty, a processor begins steal attempts as soon as its queue
@@ -22,52 +18,27 @@ import (
 // are processors dropping to loads 0..min(B, i−T), whose density is
 // s₁ − s_{min(B+2, i−T+2)}.
 //
-// B = 0 recovers Threshold. The construction requires T ≥ B + 2 so thief
+// B = 0 recovers threshold stealing. The construction requires T ≥ B + 2 so thief
 // and victim bands do not overlap, matching the paper's presentation.
 type Preemptive struct {
-	base
-	b, t int
+	tails
+	b int
 }
 
 // NewPreemptive constructs the preemptive model with arrival rate λ,
 // steal-begin level B ≥ 0, and offset threshold T ≥ B + 2.
 func NewPreemptive(lambda float64, b, t int) *Preemptive {
-	checkLambda(lambda)
 	if b < 0 {
 		panic("meanfield: Preemptive needs B >= 0")
 	}
 	if t < b+2 {
 		panic(fmt.Sprintf("meanfield: Preemptive needs T >= B+2, got B=%d T=%d", b, t))
 	}
-	dim := taskDim(lambda)
-	if dim < b+t+8 {
-		dim = b + t + 8
-	}
-	return &Preemptive{
-		base: base{name: fmt.Sprintf("preemptive(B=%d,T=%d)", b, t), lambda: lambda, dim: dim},
-		b:    b,
-		t:    t,
-	}
-}
-
-// B returns the queue length at which steal attempts begin.
-func (m *Preemptive) B() int { return m.b }
-
-// T returns the offset threshold.
-func (m *Preemptive) T() int { return m.t }
-
-// Initial returns the empty system.
-func (m *Preemptive) Initial() []float64 { return core.EmptyTails(m.dim) }
-
-// WarmStart returns the threshold-model closed form, which has the right
-// tail shape above B + T.
-func (m *Preemptive) WarmStart() []float64 {
-	cf := SolveThreshold(m.lambda, m.t)
-	x := make([]float64, m.dim)
-	for i := range x {
-		x[i] = cf.Pi(i)
-	}
-	return x
+	// The threshold-model closed form is the warm start: it has the right
+	// tail shape above B + T.
+	m := &Preemptive{newTails(fmt.Sprintf("preemptive(B=%d,T=%d)", b, t), lambda, t, thresholdStart), b}
+	m.dim = max(m.dim, b+t+8)
+	return m
 }
 
 // Derivs implements the three-band system with boundary s_{dim} = 0.
@@ -100,9 +71,3 @@ func (m *Preemptive) Derivs(x, dx []float64) {
 		dx[i] = d
 	}
 }
-
-// Project restores tail feasibility.
-func (m *Preemptive) Project(x []float64) { core.ProjectTails(x) }
-
-// MeanTasks returns the expected tasks per processor at state x.
-func (m *Preemptive) MeanTasks(x []float64) float64 { return core.MeanFromTails(x) }

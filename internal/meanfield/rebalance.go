@@ -28,7 +28,7 @@ func ConstRate(r float64) RateFunc { return func(int) float64 { return r } }
 // Grouped by i this telescopes to exactly the paper's sums; the direct form
 // is O(L²) per evaluation, which is fine at the truncations used here.
 type Rebalance struct {
-	base
+	tails
 	rate RateFunc
 	rmax float64
 }
@@ -37,36 +37,28 @@ type Rebalance struct {
 // rate function rate; rmax must upper-bound rate(i) over all i (used for
 // step-size control).
 func NewRebalance(lambda float64, rate RateFunc, rmax float64) *Rebalance {
-	checkLambda(lambda)
 	if rmax < 0 {
 		panic("meanfield: Rebalance needs rmax >= 0")
 	}
-	dim := taskDim(lambda)
+	// Solve starts from the empty system rather than the no-stealing
+	// equilibrium: starting above the rebalanced equilibrium leaves the
+	// solver crawling down a nearly-affine drain front at rate 1−λ
+	// (rebalancing keeps all queues equal while the excess load drains),
+	// whereas filling up from empty relaxes at the much faster arrival
+	// time scale.
+	name := fmt.Sprintf("rebalance(rmax=%g)", rmax)
+	m := &Rebalance{newTails(name, lambda, 0, nil), rate, rmax}
 	// O(L²) derivative evaluations want a tighter truncation; rebalancing
 	// thins tails aggressively, so a λ-ratio truncation at a looser
 	// tolerance remains conservative.
-	if dim > 1024 {
-		dim = core.TruncationDim(lambda, 1e-10, 32, 1024)
+	if m.dim > 1024 {
+		m.dim = core.TruncationDim(lambda, 1e-10, 32, 1024)
 	}
-	return &Rebalance{
-		base: base{name: fmt.Sprintf("rebalance(rmax=%g)", rmax), lambda: lambda, dim: dim},
-		rate: rate,
-		rmax: rmax,
-	}
+	return m
 }
 
 // MaxRate includes the rebalancing rate bound.
 func (m *Rebalance) MaxRate() float64 { return 4 + 2*m.rmax }
-
-// Initial returns the empty system.
-func (m *Rebalance) Initial() []float64 { return core.EmptyTails(m.dim) }
-
-// WarmStart returns the empty system rather than the no-stealing
-// equilibrium: starting above the rebalanced equilibrium leaves the solver
-// crawling down a nearly-affine drain front at rate 1−λ (rebalancing keeps
-// all queues equal while the excess load drains), whereas filling up from
-// empty relaxes at the much faster arrival time scale.
-func (m *Rebalance) WarmStart() []float64 { return core.EmptyTails(m.dim) }
 
 // Derivs evaluates arrivals, departures, and the pairwise rebalancing
 // generator. Boundary: s_{dim} = 0, and loads beyond the truncation are
@@ -125,9 +117,3 @@ func (m *Rebalance) Derivs(x, dx []float64) {
 		}
 	}
 }
-
-// Project restores tail feasibility.
-func (m *Rebalance) Project(x []float64) { core.ProjectTails(x) }
-
-// MeanTasks returns the expected tasks per processor at state x.
-func (m *Rebalance) MeanTasks(x []float64) float64 { return core.MeanFromTails(x) }

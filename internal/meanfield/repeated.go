@@ -1,73 +1,59 @@
 package meanfield
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/core"
-)
-
-// Repeated is the repeated-steal-attempts model (§2.5): as in the WS
-// algorithm of Blumofe and Leiserson, a thief that fails keeps trying.
-// Empty processors make steal attempts at exponential rate r (in addition to
-// the attempt made at the moment of emptying); a victim must hold at least
-// T tasks. The limiting system is
+// Repeated is the kernel of the paper's basic stealing models. A processor
+// that completes its final task attempts one steal from a victim chosen
+// uniformly at random, succeeding when the victim holds at least T tasks;
+// empty processors additionally retry at exponential rate r, as in the WS
+// algorithm of Blumofe and Leiserson (§2.5). The limiting system is
 //
 //	ds₁/dt = λ(s₀−s₁) + r(s₀−s₁)s_T − (s₁−s₂)(1 − s_T)
 //	ds_i/dt = λ(s_{i−1}−s_i) − (s_i−s_{i+1}),                      2 ≤ i ≤ T−1
 //	ds_i/dt = λ(s_{i−1}−s_i) − (s_i−s_{i+1})
 //	          − (s₁−s₂)(s_i−s_{i+1}) − r(s₀−s₁)(s_i−s_{i+1}),      i ≥ T
 //
-// As r → ∞ the fraction π_T at the fixed point goes to 0: any processor
-// reaching T tasks is immediately robbed.
+// The (s₁ − s₂) factor is the rate at which thieves appear (processors
+// completing their final task); a steal hits a load-i victim with
+// probability s_i − s_{i+1}. At r = 0 this is threshold stealing (§2.3,
+// equations (4)–(6)), and at T = 2 as well it is simple work stealing
+// (§2.2, equations (2)–(3)). As r → ∞ the fraction π_T at the fixed point
+// goes to 0: any processor reaching T tasks is immediately robbed.
 type Repeated struct {
-	base
-	t int
+	tails
 	r float64
 }
 
+// NewSimpleWS constructs the simple work-stealing model (T = 2, r = 0) at
+// arrival rate λ, warm-started from its closed form.
+func NewSimpleWS(lambda float64) *Repeated {
+	return newRepeated("simple-ws", lambda, 2, 0, simpleWSStart)
+}
+
+// NewThreshold constructs the threshold model (r = 0) with arrival rate λ
+// and stealing threshold T ≥ 2.
+func NewThreshold(lambda float64, t int) *Repeated {
+	return newRepeated(fmt.Sprintf("threshold(T=%d)", t), lambda, t, 0, thresholdStart)
+}
+
 // NewRepeated constructs the repeated-attempts model with arrival rate λ,
-// threshold T ≥ 2 and retry rate r ≥ 0. r = 0 recovers Threshold.
+// threshold T ≥ 2 and retry rate r ≥ 0.
 func NewRepeated(lambda float64, t int, r float64) *Repeated {
-	checkLambda(lambda)
+	return newRepeated(fmt.Sprintf("repeated(T=%d,r=%g)", t, r), lambda, t, r, thresholdStart)
+}
+
+func newRepeated(name string, lambda float64, t int, r float64, start func(tails) []float64) *Repeated {
 	if t < 2 {
-		panic("meanfield: Repeated needs T >= 2")
+		panic(fmt.Sprintf("meanfield: threshold T = %d must be at least 2", t))
 	}
 	if r < 0 {
 		panic("meanfield: Repeated needs r >= 0")
 	}
-	dim := taskDim(lambda)
-	if dim < t+8 {
-		dim = t + 8
-	}
-	return &Repeated{
-		base: base{name: fmt.Sprintf("repeated(T=%d,r=%g)", t, r), lambda: lambda, dim: dim},
-		t:    t,
-		r:    r,
-	}
+	return &Repeated{newTails(name, lambda, t, start), r}
 }
-
-// T returns the stealing threshold.
-func (m *Repeated) T() int { return m.t }
-
-// R returns the retry rate of empty processors.
-func (m *Repeated) R() float64 { return m.r }
 
 // MaxRate bounds the per-component transition rate, which grows with r.
 func (m *Repeated) MaxRate() float64 { return 4 + m.r }
-
-// Initial returns the empty system.
-func (m *Repeated) Initial() []float64 { return core.EmptyTails(m.dim) }
-
-// WarmStart returns the threshold-model closed form (exact for r = 0 and a
-// good shape otherwise).
-func (m *Repeated) WarmStart() []float64 {
-	cf := SolveThreshold(m.lambda, m.t)
-	x := make([]float64, m.dim)
-	for i := range x {
-		x[i] = cf.Pi(i)
-	}
-	return x
-}
 
 // Derivs implements the system above with boundary s_{dim} = 0.
 func (m *Repeated) Derivs(x, dx []float64) {
@@ -95,9 +81,3 @@ func (m *Repeated) Derivs(x, dx []float64) {
 		dx[i] = d
 	}
 }
-
-// Project restores tail feasibility.
-func (m *Repeated) Project(x []float64) { core.ProjectTails(x) }
-
-// MeanTasks returns the expected tasks per processor at state x.
-func (m *Repeated) MeanTasks(x []float64) float64 { return core.MeanFromTails(x) }

@@ -7,12 +7,15 @@ import (
 	"repro/internal/numeric"
 )
 
-// RepeatedTransfer combines the repeated-attempts model of §2.5 with the
-// transfer-time model of §3.2 — the paper notes in §3 that "the extensions
-// can be combined as desired", and this combination is the most realistic
-// rendering of the WS algorithm: idle processors keep retrying steals at
-// rate ra, and a successful steal takes Exp(mean 1/rt) to move, with at
-// most one task in flight per thief.
+// RepeatedTransfer is the kernel of the transfer-time models. In the
+// transfer-time model (§3.2) a stolen task takes an exponentially
+// distributed time with mean 1/rt to move from victim to thief, and a
+// thief with a task already in flight does not steal again; combined with
+// the repeated attempts of §2.5 ("the extensions can be combined as
+// desired", §3), idle processors also retry steals at rate ra, the most
+// realistic rendering of the WS algorithm. The state splits into two tail
+// vectors: s_i for processors not awaiting a stolen task and w_i for
+// processors awaiting one (both absolute fractions, s₀ + w₀ = 1).
 //
 // With θ = (s₁−s₂) + ra(s₀−s₁) the total steal-attempt rate (processors
 // emptying plus idle retriers) and S = s_T + w_T the per-attempt success
@@ -26,40 +29,47 @@ import (
 //	dw_i/dt = λ(w_{i−1}−w_i) − rt·w_i − (w_i−w_{i+1})
 //	          − [i ≥ T]·θ·(w_i−w_{i+1})
 //
-// ra = 0 recovers Transfer; rt → ∞ recovers Repeated.
+// Tasks can be stolen from awaiting processors (the s_T + w_T success
+// probability). A completed transfer raises the processor's load by one,
+// which is why rt·w_{i−1} feeds s_i. ra = 0 is the transfer-time model;
+// rt → ∞ recovers Repeated. The transfer-time model quantifies the paper's
+// threshold rule of thumb: the best T is roughly 1/rt + 1 at low arrival
+// rates but grows at high ones (Table 3).
 type RepeatedTransfer struct {
 	base
-	t      int
-	ra, rt float64
-	l      int
+	t         int
+	ra, rt    float64
+	l         int  // per-vector length; state is s[0:l] ++ w[0:l]
+	geometric bool // warm-start from the no-stealing equilibrium
+}
+
+// NewTransfer constructs the transfer-time model (ra = 0) with arrival
+// rate λ, threshold T ≥ 2 and transfer rate r > 0 (mean transfer time
+// 1/r), warm-started from the no-stealing equilibrium.
+func NewTransfer(lambda float64, t int, r float64) *RepeatedTransfer {
+	return newRepeatedTransfer(fmt.Sprintf("transfer(T=%d,r=%g)", t, r), lambda, t, 0, r, true)
 }
 
 // NewRepeatedTransfer constructs the combined model with arrival rate λ,
-// threshold T ≥ 2, retry rate ra ≥ 0, and transfer rate rt > 0.
+// threshold T ≥ 2, retry rate ra ≥ 0, and transfer rate rt > 0. It starts
+// from the empty system: NewTransfer's geometric warm start would move its
+// λ = 0.99 fixed point by up to 3e-5.
 func NewRepeatedTransfer(lambda float64, t int, ra, rt float64) *RepeatedTransfer {
-	checkLambda(lambda)
-	if t < 2 {
-		panic("meanfield: RepeatedTransfer needs T >= 2")
-	}
-	if ra < 0 || rt <= 0 {
-		panic("meanfield: RepeatedTransfer needs ra >= 0 and rt > 0")
-	}
-	l := taskDim(lambda)
-	if l < t+8 {
-		l = t + 8
-	}
-	return &RepeatedTransfer{
-		base: base{
-			name:   fmt.Sprintf("repeated-transfer(T=%d,ra=%g,rt=%g)", t, ra, rt),
-			lambda: lambda,
-			dim:    2 * l,
-		},
-		t: t, ra: ra, rt: rt, l: l,
-	}
+	name := fmt.Sprintf("repeated-transfer(T=%d,ra=%g,rt=%g)", t, ra, rt)
+	return newRepeatedTransfer(name, lambda, t, ra, rt, false)
 }
 
-// T returns the stealing threshold.
-func (m *RepeatedTransfer) T() int { return m.t }
+func newRepeatedTransfer(name string, lambda float64, t int, ra, rt float64, geometric bool) *RepeatedTransfer {
+	if t < 2 {
+		panic("meanfield: transfer models need T >= 2")
+	}
+	if ra < 0 || rt <= 0 {
+		panic("meanfield: transfer models need ra >= 0 and rt > 0")
+	}
+	checkLambda(lambda)
+	l := taskDim(lambda, t)
+	return &RepeatedTransfer{base{name, lambda, 2 * l}, t, ra, rt, l, geometric}
+}
 
 // MaxRate bounds the per-component transition rates.
 func (m *RepeatedTransfer) MaxRate() float64 { return 4 + m.ra + m.rt }
@@ -84,10 +94,28 @@ func (m *RepeatedTransfer) StealSuccessProb(x []float64) (float64, bool) {
 	return s[m.t] + w[m.t], true
 }
 
-// Initial returns the empty system.
+// Initial returns the empty system: all processors idle and not awaiting.
 func (m *RepeatedTransfer) Initial() []float64 {
 	x := make([]float64, m.dim)
 	x[0] = 1
+	return x
+}
+
+// WarmStart puts the no-stealing geometric equilibrium in s and a small
+// multiple of it in w when the model asks for it; nil starts Solve from
+// the empty system.
+func (m *RepeatedTransfer) WarmStart() []float64 {
+	if !m.geometric {
+		return nil
+	}
+	x := make([]float64, m.dim)
+	s, w := m.Split(x)
+	g := core.GeometricTails(m.lambda, m.l)
+	frac := numeric.Clamp(0.1/m.rt, 0, 0.4) // rough share of awaiting processors
+	for i := range g {
+		s[i] = g[i] * (1 - frac)
+		w[i] = g[i] * frac
+	}
 	return x
 }
 
@@ -127,9 +155,12 @@ func (m *RepeatedTransfer) Derivs(x, dx []float64) {
 	}
 }
 
-// Project restores feasibility (same invariants as Transfer).
+// Project restores feasibility: both halves are clamped monotone tails and
+// the total population s₀ + w₀ is renormalized to 1.
 func (m *RepeatedTransfer) Project(x []float64) {
 	s, w := m.Split(x)
+	// Clamp and monotonize w first (its head is free), then pin s₀ to the
+	// remaining population and monotonize s below it.
 	prev := 1.0
 	for i := 0; i < m.l; i++ {
 		v := numeric.Clamp(w[i], 0, 1)
@@ -151,7 +182,8 @@ func (m *RepeatedTransfer) Project(x []float64) {
 	}
 }
 
-// MeanTasks counts queued tasks plus tasks in flight.
+// MeanTasks counts queued tasks at all processors plus tasks in transit:
+// Σ_{i≥1}(s_i + w_i) + w₀.
 func (m *RepeatedTransfer) MeanTasks(x []float64) float64 {
 	s, w := m.Split(x)
 	var sum numeric.KahanSum

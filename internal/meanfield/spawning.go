@@ -20,9 +20,8 @@ import (
 // ρ = λe/(1−λi) < 1: each external task brings a geometric cascade of
 // spawned descendants with mean 1/(1−λi).
 type Spawning struct {
-	base
+	tails
 	le, li float64
-	t      int
 }
 
 // NewSpawning constructs the model with external rate λe > 0, internal
@@ -32,42 +31,16 @@ func NewSpawning(le, li float64, t int) *Spawning {
 	if le <= 0 || li < 0 || li >= 1 {
 		panic("meanfield: Spawning needs λe > 0 and 0 <= λi < 1")
 	}
-	rho := le / (1 - li)
-	checkLambda(rho)
 	if t < 2 {
 		panic("meanfield: Spawning needs T >= 2")
 	}
-	dim := taskDim(rho)
-	if dim < t+8 {
-		dim = t + 8
-	}
-	return &Spawning{
-		base: base{
-			name: fmt.Sprintf("spawning(λe=%g,λi=%g,T=%d)", le, li, t),
-			// ArrivalRate reports the total long-run task rate per
-			// processor λe + λi·P(busy) = λe + λi·ρ = ρ, so Little's law
-			// applies with this value.
-			lambda: rho,
-			dim:    dim,
-		},
-		le: le, li: li, t: t,
-	}
+	// ArrivalRate reports the total long-run task rate per processor
+	// λe + λi·P(busy) = λe + λi·ρ = ρ, so Little's law applies with this
+	// value; the warm start is the geometric profile at ρ.
+	rho := le / (1 - li)
+	name := fmt.Sprintf("spawning(λe=%g,λi=%g,T=%d)", le, li, t)
+	return &Spawning{newTails(name, rho, t, geometricStart), le, li}
 }
-
-// ExternalRate returns λ_ext.
-func (m *Spawning) ExternalRate() float64 { return m.le }
-
-// InternalRate returns λ_int.
-func (m *Spawning) InternalRate() float64 { return m.li }
-
-// T returns the stealing threshold.
-func (m *Spawning) T() int { return m.t }
-
-// Initial returns the empty system.
-func (m *Spawning) Initial() []float64 { return core.EmptyTails(m.dim) }
-
-// WarmStart returns the geometric profile at the effective utilization.
-func (m *Spawning) WarmStart() []float64 { return core.GeometricTails(m.lambda, m.dim) }
 
 // Derivs implements the spawning system with boundary s_{dim} = 0.
 func (m *Spawning) Derivs(x, dx []float64) {
@@ -91,11 +64,5 @@ func (m *Spawning) Derivs(x, dx []float64) {
 		dx[i] = d
 	}
 }
-
-// Project restores tail feasibility.
-func (m *Spawning) Project(x []float64) { core.ProjectTails(x) }
-
-// MeanTasks returns the expected tasks per processor at state x.
-func (m *Spawning) MeanTasks(x []float64) float64 { return core.MeanFromTails(x) }
 
 var _ core.Model = (*Spawning)(nil)

@@ -68,12 +68,6 @@ func NewStages(lambda float64, c, t int) *Stages {
 	}
 }
 
-// C returns the number of Erlang stages per task.
-func (m *Stages) C() int { return m.c }
-
-// T returns the stealing threshold in tasks.
-func (m *Stages) T() int { return m.t }
-
 // MaxRate reflects the stage service rate c dominating the dynamics.
 func (m *Stages) MaxRate() float64 { return float64(2*m.c) + 2 }
 

@@ -69,10 +69,7 @@ func fluidModel(o *Options) (m core.Model, tailsFirst bool, err error) {
 		if o.B != 0 || o.D != 1 {
 			return bad("transfer delays combine only with B = 0, D = 1")
 		}
-		if o.RetryRate > 0 {
-			return meanfield.NewRepeatedTransfer(lam, o.T, o.RetryRate, o.TransferRate), false, nil
-		}
-		return meanfield.NewTransfer(lam, o.T, o.TransferRate), false, nil
+		return meanfield.NewRepeatedTransfer(lam, o.T, o.RetryRate, o.TransferRate), false, nil
 	}
 	if o.B > 0 {
 		if o.D != 1 || o.K != 1 || o.Half || o.RetryRate > 0 {
@@ -98,10 +95,7 @@ func fluidModel(o *Options) (m core.Model, tailsFirst bool, err error) {
 		}
 		return meanfield.NewStealHalf(lam, o.T), true, nil
 	}
-	if o.RetryRate > 0 {
-		return meanfield.NewRepeated(lam, o.T, o.RetryRate), true, nil
-	}
-	return meanfield.NewThreshold(lam, o.T), true, nil
+	return meanfield.NewRepeated(lam, o.T, o.RetryRate), true, nil
 }
 
 // phaseFluidModel maps non-exponential service onto the generalized
