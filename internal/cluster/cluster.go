@@ -93,7 +93,7 @@ type Node struct {
 	client *http.Client
 	chaos  *chaos.Injector
 	log    *slog.Logger
-	met    *nodeMetrics
+	met    meters
 	reg    *registry
 
 	peers  []*peer
@@ -159,7 +159,7 @@ func New(cfg Config) (*Node, error) {
 		client: cfg.Client,
 		chaos:  cfg.Chaos,
 		log:    cfg.Logger,
-		met:    newNodeMetrics(),
+		met:    newMeters(),
 		reg:    newRegistry(),
 		byURL:  make(map[string]*peer),
 		stop:   make(chan struct{}),
@@ -249,9 +249,21 @@ func (s Status) String() string {
 	return fmt.Sprintf("cluster: %s, %d/%d peers healthy", mode, s.Healthy, s.Peers)
 }
 
-// EmitProm renders the cluster metrics into the daemon's exposition.
+// EmitProm renders the cluster metrics into the daemon's exposition,
+// first copying the live membership state into its gauges.
 func (n *Node) EmitProm(p *metrics.PromWriter) {
-	n.met.emit(p, n.peers, n.standalone.Load())
+	st := n.ClusterStatus()
+	n.met.peers.Set(int64(st.Peers))
+	n.met.peersHealthy.Set(int64(st.Healthy))
+	standalone := int64(0)
+	if st.Standalone {
+		standalone = 1
+	}
+	n.met.standalone.Set(standalone)
+	for _, pr := range n.peers {
+		n.met.peerBreaker.With(pr.url).Set(int64(pr.brk.Current()))
+	}
+	n.met.reg.Write(p)
 }
 
 // Offer registers an in-flight simulate computation as stealable and
@@ -266,7 +278,7 @@ func (n *Node) Offer(key string, spec experiments.SimSpec, cell *sched.Cell) fun
 // (the serving layer detects the forwarded header; the count lives here
 // with the rest of the cluster metrics).
 func (n *Node) NoteForwardedIn() {
-	n.met.add(func(m *nodeMetrics) { m.forwardedIn++ })
+	n.met.forwardedIn.Add(1)
 }
 
 // ForwardResult is a relayed peer response.
@@ -297,12 +309,12 @@ func (n *Node) Forward(ctx context.Context, route, key string, body []byte) (For
 	defer cancel()
 	status, respBody, err := n.rpc(rctx, p, http.MethodPost, route, "application/json", body, true)
 	if err != nil || status >= http.StatusInternalServerError {
-		n.met.add(func(m *nodeMetrics) { m.forwardFallbacks++ })
+		n.met.forwardFallbacks.Add(1)
 		n.log.Warn("forward fell back to local compute",
 			"route", route, "owner", ownerURL, "status", status, "err", errString(err))
 		return ForwardResult{}, false
 	}
-	n.met.add(func(m *nodeMetrics) { m.forwards++ })
+	n.met.forwards.Add(1)
 	return ForwardResult{Status: status, Body: respBody}, true
 }
 
@@ -328,7 +340,7 @@ func (n *Node) loop() {
 		case <-t.C:
 			n.gossip()
 			if reclaimed := n.reg.sweep(n.cfg.Now()); reclaimed > 0 {
-				n.met.add(func(m *nodeMetrics) { m.reclaimedReps += int64(reclaimed) })
+				n.met.reclaimedReps.Add(int64(reclaimed))
 				n.log.Warn("reclaimed expired lease slots", "reps", reclaimed)
 			}
 			n.maybeSteal()
@@ -352,12 +364,12 @@ func (n *Node) gossip() {
 				var rep loadReport
 				if derr := decodeJSON(body, &rep); derr == nil {
 					p.observe(true, rep.Pending, rep.Draining)
-					n.met.add(func(m *nodeMetrics) { m.gossipOK[p.url]++ })
+					n.met.gossip.With(p.url, "ok").Add(1)
 					return
 				}
 			}
 			p.observe(false, 0, false)
-			n.met.add(func(m *nodeMetrics) { m.gossipFail[p.url]++ })
+			n.met.gossip.With(p.url, "fail").Add(1)
 		}()
 	}
 	wg.Wait()
@@ -446,7 +458,7 @@ func (n *Node) stealRound(best, second *peer) {
 		}
 	case <-hedge.C:
 		if second != nil {
-			n.met.add(func(m *nodeMetrics) { m.stealHedges++ })
+			n.met.stealHedges.Add(1)
 			go probe(second)
 			outstanding++
 		}
@@ -466,7 +478,7 @@ func (n *Node) stealRound(best, second *peer) {
 // probeSteal asks one victim for a batch; nil means no work (or no
 // answer).
 func (n *Node) probeSteal(p *peer) *stealGrant {
-	n.met.add(func(m *nodeMetrics) { m.stealProbes++ })
+	n.met.stealProbes.Add(1)
 	rctx, cancel := n.rpcTimeout(context.Background())
 	defer cancel()
 	body, err := encodeJSON(stealRequest{Want: n.cfg.StealBatch})
@@ -479,13 +491,11 @@ func (n *Node) probeSteal(p *peer) *stealGrant {
 	}
 	var g stealGrant
 	if err := decodeJSON(respBody, &g); err != nil || g.Key == "" || len(g.Indices) == 0 {
-		n.met.add(func(m *nodeMetrics) { m.stealEmpty++ })
+		n.met.stealEmpty.Add(1)
 		return nil
 	}
-	n.met.add(func(m *nodeMetrics) {
-		m.stealBatches++
-		m.stolenReps += int64(len(g.Indices))
-	})
+	n.met.stealBatches.Add(1)
+	n.met.stolenReps.Add(int64(len(g.Indices)))
 	return &g
 }
 
@@ -533,7 +543,7 @@ func (n *Node) execute(p *peer, g *stealGrant) {
 	ctx, cancel := context.WithDeadline(context.Background(), g.deadline(n.cfg.Now()))
 	defer cancel()
 	err = n.cfg.Retry.Do(ctx, func(ctx context.Context) error {
-		n.met.add(func(m *nodeMetrics) { m.completionPosts++ })
+		n.met.completionPosts.Add(1)
 		rctx, rcancel := n.rpcTimeout(ctx)
 		defer rcancel()
 		status, respBody, rerr := n.rpc(rctx, p, http.MethodPost, "/v1/cluster/complete", "application/x-gob", payload, false)
@@ -546,7 +556,7 @@ func (n *Node) execute(p *peer, g *stealGrant) {
 		return nil
 	})
 	if err != nil {
-		n.met.add(func(m *nodeMetrics) { m.completionFails++ })
+		n.met.completionFails.Add(1)
 		n.log.Warn("completion abandoned; victim will reclaim the lease",
 			"key", g.Key, "lease", g.Lease, "err", err.Error())
 	}

@@ -206,12 +206,8 @@ func TestStealEndToEnd(t *testing.T) {
 
 	// Both sides' metrics saw the traffic.
 	vm, tm := h.nodes[0].met, h.nodes[1].met
-	vm.mu.Lock()
-	granted, accepted := vm.grantedReps, vm.acceptedReps
-	vm.mu.Unlock()
-	tm.mu.Lock()
-	stolen := tm.stolenReps
-	tm.mu.Unlock()
+	granted, accepted := vm.grantedReps.Get(), vm.acceptedReps.Get()
+	stolen := tm.stolenReps.Get()
 	if granted != 8 || accepted != 8 || stolen != 8 {
 		t.Fatalf("metrics granted=%d accepted=%d stolen=%d, want 8/8/8", granted, accepted, stolen)
 	}
@@ -464,9 +460,7 @@ func TestForwardRouting(t *testing.T) {
 	if _, ok := h2.nodes[0].Forward(context.Background(), "/v1/fixedpoint", key, []byte(`{}`)); ok {
 		t.Fatal("Forward succeeded across an injected partition")
 	}
-	h2.nodes[0].met.mu.Lock()
-	dropped, fallbacks := h2.nodes[0].met.rpcDropped, h2.nodes[0].met.forwardFallbacks
-	h2.nodes[0].met.mu.Unlock()
+	dropped, fallbacks := h2.nodes[0].met.rpcDropped.Get(), h2.nodes[0].met.forwardFallbacks.Get()
 	if dropped == 0 || fallbacks == 0 {
 		t.Fatalf("partition drop not counted: dropped=%d fallbacks=%d", dropped, fallbacks)
 	}

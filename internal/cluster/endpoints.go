@@ -139,10 +139,8 @@ func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, stealGrant{})
 		return
 	}
-	n.met.add(func(m *nodeMetrics) {
-		m.grantedBatches++
-		m.grantedReps += int64(len(indices))
-	})
+	n.met.grantedBatches.Add(1)
+	n.met.grantedReps.Add(int64(len(indices)))
 	n.log.Info("granted steal lease",
 		"thief", r.Header.Get(fromHeader), "key", key, "lease", id, "reps", len(indices))
 	writeJSON(w, stealGrant{
@@ -179,10 +177,8 @@ func (n *Node) handleComplete(w http.ResponseWriter, r *http.Request) {
 			rep.Rejected++
 		}
 	}
-	n.met.add(func(m *nodeMetrics) {
-		m.acceptedReps += int64(rep.Accepted)
-		m.rejectedReps += int64(rep.Rejected)
-	})
+	n.met.acceptedReps.Add(int64(rep.Accepted))
+	n.met.rejectedReps.Add(int64(rep.Rejected))
 	if rep.Rejected > 0 {
 		n.log.Warn("rejected stale or duplicate completions",
 			"thief", c.From, "key", c.Key, "lease", c.Lease, "rejected", rep.Rejected)

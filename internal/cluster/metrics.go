@@ -1,114 +1,66 @@
 package cluster
 
-import (
-	"sync"
+import "repro/internal/metrics"
 
-	"repro/internal/metrics"
-)
+// meters are the cluster layer's metric families and resolved series, held
+// by one metrics.Registry and rendered into the serving daemon's /metrics
+// exposition under the wsserved_cluster_* namespace. They move once per RPC
+// or steal batch, never per simulated event.
+type meters struct {
+	reg *metrics.Registry
 
-// nodeMetrics is the cluster layer's counter bag, emitted into the serving
-// daemon's /metrics exposition under the wsserved_cluster_* namespace. One
-// mutex guards everything — counters move once per RPC or steal batch,
-// never per simulated event.
-type nodeMetrics struct {
-	mu sync.Mutex
+	peers, peersHealthy, standalone *metrics.Value                 // set at scrape time
+	peerBreaker                     *metrics.Family[metrics.Value] // {peer}, set at scrape time
+	gossip                          *metrics.Family[metrics.Value] // {peer, outcome}
 
-	gossipOK   map[string]int64 // peer → successful load polls
-	gossipFail map[string]int64 // peer → failed load polls
+	stealProbes, stealHedges, stealEmpty *metrics.Value
+	stealBatches, stolenReps             *metrics.Value // thief side
+	grantedBatches, grantedReps          *metrics.Value // victim side
+	completionPosts, completionFails     *metrics.Value
+	acceptedReps, rejectedReps           *metrics.Value
+	reclaimedReps                        *metrics.Value
 
-	stealProbes     int64 // steal RPCs sent (thief side)
-	stealHedges     int64 // hedged second probes fired
-	stealEmpty      int64 // probes answered with no work
-	stealBatches    int64 // non-empty grants received (thief side)
-	stolenReps      int64 // replications received in grants (thief side)
-	completionPosts int64 // completion RPCs attempted, retries included
-	completionFails int64 // completion batches abandoned after retries
+	forwards, forwardFallbacks, forwardedIn *metrics.Value
 
-	grantedBatches int64 // non-empty leases granted (victim side)
-	grantedReps    int64 // replications leased out (victim side)
-	acceptedReps   int64 // completions accepted by cells
-	rejectedReps   int64 // completions rejected (duplicate / revoked lease)
-	reclaimedReps  int64 // replications taken back by the lease sweeper
-
-	forwards         int64 // requests proxied to their hash owner
-	forwardFallbacks int64 // forward failures served by local compute
-	forwardedIn      int64 // forwarded requests served for peers
-
-	rpcDropped int64 // RPCs dropped by an injected partition
+	rpcDropped *metrics.Value
 }
 
-func newNodeMetrics() *nodeMetrics {
-	return &nodeMetrics{
-		gossipOK:   make(map[string]int64),
-		gossipFail: make(map[string]int64),
+func newMeters() meters {
+	r := metrics.NewRegistry()
+	m := meters{
+		reg:          r,
+		peers:        r.Gauge("wsserved_cluster_peers", "Configured peer replicas.").With(),
+		peersHealthy: r.Gauge("wsserved_cluster_peers_healthy", "Peers passing gossip health checks.").With(),
+		standalone: r.Gauge("wsserved_cluster_standalone",
+			"1 while degraded to fully-local standalone mode (no healthy peers).").With(),
+		peerBreaker: r.Gauge("wsserved_cluster_peer_breaker_state",
+			"Per-peer circuit breaker state: 0 closed, 1 half-open, 2 open.", "peer"),
+		gossip: r.Counter("wsserved_cluster_gossip_total", "Load-gossip polls by peer and outcome.",
+			"peer", "outcome"),
+		stealProbes: r.Counter("wsserved_cluster_steal_probes_total", "Steal RPCs sent to peers.").With(),
+		stealHedges: r.Counter("wsserved_cluster_steal_hedges_total", "Hedged second steal probes fired.").With(),
+		stealEmpty:  r.Counter("wsserved_cluster_steal_empty_total", "Steal probes answered with no work.").With(),
 	}
-}
-
-func (m *nodeMetrics) add(f func(*nodeMetrics)) {
-	m.mu.Lock()
-	f(m)
-	m.mu.Unlock()
-}
-
-// emit renders the counter bag plus the live peer/standalone gauges. The
-// per-peer breaker states are passed in by the Node, which owns the peers.
-func (m *nodeMetrics) emit(p *metrics.PromWriter, peers []*peer, standalone bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	healthy := 0
-	for _, pr := range peers {
-		if pr.isHealthy() {
-			healthy++
-		}
-	}
-	p.Gauge("wsserved_cluster_peers", "Configured peer replicas.", float64(len(peers)))
-	p.Gauge("wsserved_cluster_peers_healthy", "Peers passing gossip health checks.", float64(healthy))
-	b := 0.0
-	if standalone {
-		b = 1
-	}
-	p.Gauge("wsserved_cluster_standalone", "1 while degraded to fully-local standalone mode (no healthy peers).", b)
-	for _, pr := range peers {
-		p.Gauge("wsserved_cluster_peer_breaker_state",
-			"Per-peer circuit breaker state: 0 closed, 1 half-open, 2 open.",
-			float64(pr.brk.Current()), "peer", pr.url)
-	}
-	for peerURL, n := range m.gossipOK {
-		p.Counter("wsserved_cluster_gossip_total", "Load-gossip polls by peer and outcome.",
-			float64(n), "peer", peerURL, "outcome", "ok")
-	}
-	for peerURL, n := range m.gossipFail {
-		p.Counter("wsserved_cluster_gossip_total", "Load-gossip polls by peer and outcome.",
-			float64(n), "peer", peerURL, "outcome", "fail")
-	}
-	p.Counter("wsserved_cluster_steal_probes_total", "Steal RPCs sent to peers.", float64(m.stealProbes))
-	p.Counter("wsserved_cluster_steal_hedges_total", "Hedged second steal probes fired.", float64(m.stealHedges))
-	p.Counter("wsserved_cluster_steal_empty_total", "Steal probes answered with no work.", float64(m.stealEmpty))
-	p.Counter("wsserved_cluster_steal_batches_total", "Stolen batches by role.",
-		float64(m.stealBatches), "role", "thief")
-	p.Counter("wsserved_cluster_steal_batches_total", "Stolen batches by role.",
-		float64(m.grantedBatches), "role", "victim")
-	p.Counter("wsserved_cluster_steal_reps_total", "Stolen replications by role.",
-		float64(m.stolenReps), "role", "thief")
-	p.Counter("wsserved_cluster_steal_reps_total", "Stolen replications by role.",
-		float64(m.grantedReps), "role", "victim")
-	p.Counter("wsserved_cluster_completion_posts_total", "Completion RPC attempts, retries included.",
-		float64(m.completionPosts))
-	p.Counter("wsserved_cluster_completion_failures_total", "Stolen batches whose completion was abandoned after retries.",
-		float64(m.completionFails))
-	p.Counter("wsserved_cluster_completions_total", "Stolen replication results offered back, by verdict.",
-		float64(m.acceptedReps), "verdict", "accepted")
-	p.Counter("wsserved_cluster_completions_total", "Stolen replication results offered back, by verdict.",
-		float64(m.rejectedReps), "verdict", "rejected")
-	p.Counter("wsserved_cluster_lease_reclaimed_reps_total", "Replications reclaimed from expired leases.",
-		float64(m.reclaimedReps))
-	p.Counter("wsserved_cluster_forwards_total", "Cached requests proxied to their consistent-hash owner.",
-		float64(m.forwards))
-	p.Counter("wsserved_cluster_forward_fallbacks_total", "Forward failures degraded to local compute.",
-		float64(m.forwardFallbacks))
-	p.Counter("wsserved_cluster_forwarded_in_total", "Forwarded requests served on behalf of peers.",
-		float64(m.forwardedIn))
-	p.Counter("wsserved_cluster_rpc_partition_drops_total", "Cluster RPCs dropped by injected partitions.",
-		float64(m.rpcDropped))
+	batches := r.Counter("wsserved_cluster_steal_batches_total", "Stolen batches by role.", "role")
+	m.stealBatches, m.grantedBatches = batches.With("thief"), batches.With("victim")
+	reps := r.Counter("wsserved_cluster_steal_reps_total", "Stolen replications by role.", "role")
+	m.stolenReps, m.grantedReps = reps.With("thief"), reps.With("victim")
+	m.completionPosts = r.Counter("wsserved_cluster_completion_posts_total",
+		"Completion RPC attempts, retries included.").With()
+	m.completionFails = r.Counter("wsserved_cluster_completion_failures_total",
+		"Stolen batches whose completion was abandoned after retries.").With()
+	verdicts := r.Counter("wsserved_cluster_completions_total",
+		"Stolen replication results offered back, by verdict.", "verdict")
+	m.acceptedReps, m.rejectedReps = verdicts.With("accepted"), verdicts.With("rejected")
+	m.reclaimedReps = r.Counter("wsserved_cluster_lease_reclaimed_reps_total",
+		"Replications reclaimed from expired leases.").With()
+	m.forwards = r.Counter("wsserved_cluster_forwards_total",
+		"Cached requests proxied to their consistent-hash owner.").With()
+	m.forwardFallbacks = r.Counter("wsserved_cluster_forward_fallbacks_total",
+		"Forward failures degraded to local compute.").With()
+	m.forwardedIn = r.Counter("wsserved_cluster_forwarded_in_total",
+		"Forwarded requests served on behalf of peers.").With()
+	m.rpcDropped = r.Counter("wsserved_cluster_rpc_partition_drops_total",
+		"Cluster RPCs dropped by injected partitions.").With()
+	return m
 }

@@ -51,7 +51,7 @@ func (n *Node) rpc(ctx context.Context, p *peer, method, path, contentType strin
 	site := siteRPC(p.url)
 	n.chaos.Sleep(site)
 	if n.chaos.Partitioned(site) {
-		n.met.add(func(m *nodeMetrics) { m.rpcDropped++ })
+		n.met.rpcDropped.Add(1)
 		return 0, nil, chaos.ErrPartitioned
 	}
 
@@ -105,7 +105,7 @@ func (n *Node) inboundPartitioned(r *http.Request) bool {
 	site := siteInbound(from)
 	n.chaos.Sleep(site)
 	if n.chaos.Partitioned(site) {
-		n.met.add(func(m *nodeMetrics) { m.rpcDropped++ })
+		n.met.rpcDropped.Add(1)
 		return true
 	}
 	return false

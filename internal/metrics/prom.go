@@ -128,8 +128,8 @@ var CounterNames = []string{
 
 // Each invokes fn for every counter field in CounterNames order. This is
 // the single enumeration point shared by the replication summarizer and
-// the Prometheus exposition, so a counter added to the struct only needs
-// one registration.
+// the serving layer's lifetime wsserved_sim_events_total totals, so a
+// counter added to the struct only needs one registration.
 func (c *Counters) Each(fn func(name string, v int64)) {
 	fn("arrivals", c.Arrivals)
 	fn("spawns", c.Spawns)
@@ -147,36 +147,4 @@ func (c *Counters) Each(fn func(name string, v int64)) {
 	fn("bulk_steals", c.BulkSteals)
 	fn("bulk_stolen_tasks", c.BulkStolenTasks)
 	fn("events", c.Events)
-}
-
-// Add accumulates o's counts into c (used by servers that keep lifetime
-// totals across simulation runs).
-func (c *Counters) Add(o Counters) {
-	c.Arrivals += o.Arrivals
-	c.Spawns += o.Spawns
-	c.Departures += o.Departures
-	c.StealAttempts += o.StealAttempts
-	c.StealSuccesses += o.StealSuccesses
-	c.StealFailEmpty += o.StealFailEmpty
-	c.StealFailThreshold += o.StealFailThreshold
-	c.Retries += o.Retries
-	c.RetriesStale += o.RetriesStale
-	c.TransfersStarted += o.TransfersStarted
-	c.TransfersCompleted += o.TransfersCompleted
-	c.Rebalances += o.Rebalances
-	c.RebalanceMoves += o.RebalanceMoves
-	c.BulkSteals += o.BulkSteals
-	c.BulkStolenTasks += o.BulkStolenTasks
-	c.Events += o.Events
-}
-
-// EmitProm writes every counter as a labelled sample of the single family
-// <prefix>_sim_events_total, the serving layer's lifetime totals of the
-// simulator's observability counters.
-func (c *Counters) EmitProm(p *PromWriter, prefix string) {
-	c.Each(func(name string, v int64) {
-		p.Counter(prefix+"_sim_events_total",
-			"Lifetime simulator event counts by kind, summed over every replication served.",
-			float64(v), "kind", name)
-	})
 }

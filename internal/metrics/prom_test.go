@@ -82,13 +82,3 @@ func TestCountersEachCoversEveryName(t *testing.T) {
 		t.Errorf("Each mapped wrong fields: %v", seen)
 	}
 }
-
-func TestCountersAdd(t *testing.T) {
-	var total Counters
-	one := Counters{Arrivals: 2, Events: 5, StealSuccesses: 1}
-	total.Add(one)
-	total.Add(one)
-	if total.Arrivals != 4 || total.Events != 10 || total.StealSuccesses != 2 {
-		t.Errorf("Add mis-accumulated: %+v", total)
-	}
-}

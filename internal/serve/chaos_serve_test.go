@@ -17,9 +17,7 @@ import (
 
 // currentInFlight reads the in-flight request gauge (in-package test hook).
 func currentInFlight(s *Server) int64 {
-	s.met.mu.Lock()
-	defer s.met.mu.Unlock()
-	return s.met.inFlight
+	return s.met.inFlight.Get()
 }
 
 // TestHandlerPanicContained pins the panic barrier: a panic injected into

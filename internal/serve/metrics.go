@@ -1,187 +1,73 @@
 package serve
 
-import (
-	"sync"
-
-	"repro/internal/breaker"
-	"repro/internal/chaos"
-	"repro/internal/metrics"
-)
+import "repro/internal/metrics"
 
 // latencyBounds are the request-latency histogram bucket upper bounds in
 // seconds, exponential from 1ms to ~65s — wide enough for both cached
 // fixed-point hits and long finite-n simulations.
-var latencyBounds = [numLatencyBounds]float64{
-	0.001, 0.004, 0.016, 0.064, 0.256, 1.024, 4.096, 16.384, 65.536,
+var latencyBounds = []float64{0.001, 0.004, 0.016, 0.064, 0.256, 1.024, 4.096, 16.384, 65.536}
+
+// meters are the daemon's metric families and resolved series, all held by
+// one metrics.Registry: request counts and latencies by route and status,
+// cache and coalescer accounting, admission queue state, breaker and chaos
+// state, and the lifetime simulator counters of every replication served.
+type meters struct {
+	reg *metrics.Registry
+
+	requests *metrics.Family[metrics.Value]     // {route, code}
+	latency  *metrics.Family[metrics.Histogram] // {route}
+
+	cacheHits, cacheMisses, cacheEntries, coalesced *metrics.Value
+
+	simQueueDepth, simRejected, simRuns, simCancelled *metrics.Value
+
+	inFlight, servePanics, replicationPanics *metrics.Value
+
+	breakerState, breakerShortCircs *metrics.Value
+	breakerTransitions              *metrics.Family[metrics.Value] // {from, to}
+	chaosInjections                 *metrics.Family[metrics.Value] // {site, kind}, mirrored at scrape time
+
+	simEvents map[string]*metrics.Value // metrics.CounterNames → lifetime total
 }
 
-const numLatencyBounds = 9
-
-// latencyHist is one cumulative latency histogram; the final count is the
-// overflow bucket.
-type latencyHist struct {
-	counts [numLatencyBounds + 1]uint64
-	sum    float64
-}
-
-func (h *latencyHist) observe(seconds float64) {
-	i := 0
-	for i < len(latencyBounds) && seconds > latencyBounds[i] {
-		i++
+func newMeters() meters {
+	r := metrics.NewRegistry()
+	m := meters{
+		reg:          r,
+		requests:     r.Counter("wsserved_requests_total", "HTTP requests by route and status code.", "route", "code"),
+		latency:      r.Histogram("wsserved_request_seconds", "HTTP request latency by route.", latencyBounds, "route"),
+		cacheHits:    r.Counter("wsserved_cache_hits_total", "Result-cache hits.").With(),
+		cacheMisses:  r.Counter("wsserved_cache_misses_total", "Result-cache misses.").With(),
+		cacheEntries: r.Gauge("wsserved_cache_entries", "Result-cache resident entries.").With(),
+		coalesced: r.Counter("wsserved_coalesced_total",
+			"Requests served by riding another request's in-flight computation.").With(),
+		simQueueDepth: r.Gauge("wsserved_sim_queue_depth",
+			"Admission slots currently held by simulate requests.").With(),
+		simRejected: r.Counter("wsserved_sim_rejected_total",
+			"Simulate requests rejected with 429 by admission control.").With(),
+		simRuns: r.Counter("wsserved_sim_runs_total",
+			"Simulation replications executed by the scheduler pool.").With(),
+		simCancelled: r.Counter("wsserved_sim_cancelled_total",
+			"Simulation replications skipped because their request was abandoned.").With(),
+		inFlight: r.Gauge("wsserved_in_flight_requests", "HTTP requests currently being handled.").With(),
+		servePanics: r.Counter("ws_serve_panics_total",
+			"Handler panics contained by the route barrier (each served as a 500).").With(),
+		replicationPanics: r.Counter("wsserved_sim_replication_panics_total",
+			"Simulate requests failed by a panicked replication.").With(),
+		breakerState: r.Gauge("wsserved_breaker_state",
+			"Circuit breaker state of /v1/simulate: 0 closed, 1 half-open, 2 open.").With(),
+		breakerShortCircs: r.Counter("wsserved_breaker_short_circuits_total",
+			"Requests answered 503 by the open breaker without running.").With(),
+		breakerTransitions: r.Counter("wsserved_breaker_transitions_total",
+			"Circuit breaker state transitions.", "from", "to"),
+		chaosInjections: r.Counter("wsserved_chaos_injections_total",
+			"Faults injected by the chaos layer, by site and kind.", "site", "kind"),
+		simEvents: make(map[string]*metrics.Value, len(metrics.CounterNames)),
 	}
-	h.counts[i]++
-	h.sum += seconds
-}
-
-// serverMetrics is the daemon's own observability registry: request counts
-// and latencies by route and status, cache and coalescer accounting,
-// admission queue state, and the lifetime simulator counters accumulated
-// from every replication served. A plain mutex guards everything — the
-// registry is touched once per request, never per simulated event.
-type serverMetrics struct {
-	mu sync.Mutex
-
-	requests  map[[2]string]int64 // {route, code} → count
-	latencies map[string]*latencyHist
-
-	cacheHits   int64
-	cacheMisses int64
-	coalesced   int64
-
-	simQueueDepth int64 // admission slots currently held
-	simRejected   int64 // 429 responses
-	simRuns       int64 // engine runs executed (replications)
-	simCancelled  int64 // replications skipped by cancellation
-
-	simCounters metrics.Counters // lifetime totals across served replications
-
-	servePanics        int64               // handler panics contained by the route barrier
-	replicationPanics  int64               // simulate requests failed by a replication panic
-	breakerShortCircs  int64               // 503s served by the open breaker
-	breakerTransitions map[[2]string]int64 // {from, to} → count
-
-	inFlight int64
-}
-
-func newServerMetrics() *serverMetrics {
-	return &serverMetrics{
-		requests:           make(map[[2]string]int64),
-		latencies:          make(map[string]*latencyHist),
-		breakerTransitions: make(map[[2]string]int64),
+	events := r.Counter("wsserved_sim_events_total",
+		"Lifetime simulator event counts by kind, summed over every replication served.", "kind")
+	for _, kind := range metrics.CounterNames {
+		m.simEvents[kind] = events.With(kind)
 	}
-}
-
-// observeRequest records one completed request.
-func (m *serverMetrics) observeRequest(route, code string, seconds float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests[[2]string{route, code}]++
-	h := m.latencies[route]
-	if h == nil {
-		h = &latencyHist{}
-		m.latencies[route] = h
-	}
-	h.observe(seconds)
-}
-
-func (m *serverMetrics) addCacheHit()   { m.mu.Lock(); m.cacheHits++; m.mu.Unlock() }
-func (m *serverMetrics) addCacheMiss()  { m.mu.Lock(); m.cacheMisses++; m.mu.Unlock() }
-func (m *serverMetrics) addCoalesced()  { m.mu.Lock(); m.coalesced++; m.mu.Unlock() }
-func (m *serverMetrics) addRejected()   { m.mu.Lock(); m.simRejected++; m.mu.Unlock() }
-func (m *serverMetrics) addServePanic() { m.mu.Lock(); m.servePanics++; m.mu.Unlock() }
-func (m *serverMetrics) addReplicationPanic() {
-	m.mu.Lock()
-	m.replicationPanics++
-	m.mu.Unlock()
-}
-func (m *serverMetrics) addBreakerShortCircuit() {
-	m.mu.Lock()
-	m.breakerShortCircs++
-	m.mu.Unlock()
-}
-func (m *serverMetrics) addBreakerTransition(from, to string) {
-	m.mu.Lock()
-	m.breakerTransitions[[2]string{from, to}]++
-	m.mu.Unlock()
-}
-
-func (m *serverMetrics) queueDelta(d int64) {
-	m.mu.Lock()
-	m.simQueueDepth += d
-	m.mu.Unlock()
-}
-
-func (m *serverMetrics) inFlightDelta(d int64) {
-	m.mu.Lock()
-	m.inFlight += d
-	m.mu.Unlock()
-}
-
-// observeSim accumulates the outcome of one simulate computation: ran
-// replications executed, skipped replications cancelled, and their counters.
-func (m *serverMetrics) observeSim(ran, skipped int64, cs []metrics.Counters) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.simRuns += ran
-	m.simCancelled += skipped
-	for _, c := range cs {
-		m.simCounters.Add(c)
-	}
-}
-
-// snapshotHits returns cache hits and misses (for tests and the load
-// generator's summary).
-func (m *serverMetrics) snapshotHits() (hits, misses int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cacheHits, m.cacheMisses
-}
-
-// emit renders the whole registry in Prometheus text format. The breaker
-// state and the chaos injector are read-side extras owned by the Server,
-// passed in so this registry stays a dumb counter bag.
-func (m *serverMetrics) emit(p *metrics.PromWriter, cacheLen int, brkState breaker.State, inj *chaos.Injector) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	for key, n := range m.requests {
-		p.Counter("wsserved_requests_total", "HTTP requests by route and status code.",
-			float64(n), "route", key[0], "code", key[1])
-	}
-	for route, h := range m.latencies {
-		p.Histogram("wsserved_request_seconds", "HTTP request latency by route.",
-			latencyBounds[:], h.counts[:], h.sum, "route", route)
-	}
-	p.Counter("wsserved_cache_hits_total", "Result-cache hits.", float64(m.cacheHits))
-	p.Counter("wsserved_cache_misses_total", "Result-cache misses.", float64(m.cacheMisses))
-	p.Gauge("wsserved_cache_entries", "Result-cache resident entries.", float64(cacheLen))
-	p.Counter("wsserved_coalesced_total", "Requests served by riding another request's in-flight computation.",
-		float64(m.coalesced))
-	p.Gauge("wsserved_sim_queue_depth", "Admission slots currently held by simulate requests.",
-		float64(m.simQueueDepth))
-	p.Counter("wsserved_sim_rejected_total", "Simulate requests rejected with 429 by admission control.",
-		float64(m.simRejected))
-	p.Counter("wsserved_sim_runs_total", "Simulation replications executed by the scheduler pool.",
-		float64(m.simRuns))
-	p.Counter("wsserved_sim_cancelled_total", "Simulation replications skipped because their request was abandoned.",
-		float64(m.simCancelled))
-	p.Gauge("wsserved_in_flight_requests", "HTTP requests currently being handled.",
-		float64(m.inFlight))
-	p.Counter("ws_serve_panics_total", "Handler panics contained by the route barrier (each served as a 500).",
-		float64(m.servePanics))
-	p.Counter("wsserved_sim_replication_panics_total", "Simulate requests failed by a panicked replication.",
-		float64(m.replicationPanics))
-	p.Gauge("wsserved_breaker_state", "Circuit breaker state of /v1/simulate: 0 closed, 1 half-open, 2 open.",
-		float64(brkState))
-	p.Counter("wsserved_breaker_short_circuits_total", "Requests answered 503 by the open breaker without running.",
-		float64(m.breakerShortCircs))
-	for key, n := range m.breakerTransitions {
-		p.Counter("wsserved_breaker_transitions_total", "Circuit breaker state transitions.",
-			float64(n), "from", key[0], "to", key[1])
-	}
-	inj.Each(func(site, kind string, n uint64) {
-		p.Counter("wsserved_chaos_injections_total", "Faults injected by the chaos layer, by site and kind.",
-			float64(n), "site", site, "kind", kind)
-	})
-	m.simCounters.EmitProm(p, "wsserved")
+	return m
 }

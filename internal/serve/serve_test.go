@@ -198,9 +198,7 @@ func TestSimulateCoalescing(t *testing.T) {
 			t.Fatalf("request %d: body differs from request 0", i)
 		}
 	}
-	s.met.mu.Lock()
-	runs := s.met.simRuns
-	s.met.mu.Unlock()
+	runs := s.met.simRuns.Get()
 	if runs > 2 { // spec has reps = 2
 		t.Errorf("64 identical requests executed %d engine runs, want <= 2", runs)
 	}
@@ -235,9 +233,7 @@ func TestSimulateOverload(t *testing.T) {
 		}
 	}()
 	waitFor(t, func() bool {
-		s.met.mu.Lock()
-		defer s.met.mu.Unlock()
-		return s.met.simQueueDepth == 1
+		return s.met.simQueueDepth.Get() == 1
 	})
 
 	// Everything beyond the slot must be rejected immediately.
@@ -255,9 +251,7 @@ func TestSimulateOverload(t *testing.T) {
 	close(release)
 	<-firstDone
 	waitFor(t, func() bool {
-		s.met.mu.Lock()
-		defer s.met.mu.Unlock()
-		return s.met.simQueueDepth == 0
+		return s.met.simQueueDepth.Get() == 0
 	})
 	// Rejections must not leak goroutines (429s return synchronously).
 	ts.Client().CloseIdleConnections()
@@ -286,9 +280,7 @@ func TestSimulateDeadline(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", resp.StatusCode, body)
 	}
-	s.met.mu.Lock()
-	ran, cancelled := s.met.simRuns, s.met.simCancelled
-	s.met.mu.Unlock()
+	ran, cancelled := s.met.simRuns.Get(), s.met.simCancelled.Get()
 	if ran != 0 || cancelled != 2 {
 		t.Errorf("deadline-expired request ran %d replications (cancelled %d), want 0 (2)", ran, cancelled)
 	}
@@ -409,9 +401,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		resc <- result{code: resp.StatusCode, body: b}
 	}()
 	waitFor(t, func() bool {
-		s.met.mu.Lock()
-		defer s.met.mu.Unlock()
-		return s.met.inFlight >= 1
+		return s.met.inFlight.Get() >= 1
 	})
 
 	s.SetDraining(true)
