@@ -124,11 +124,7 @@ func run() (code int) {
 		}
 	}
 	if kind == sim.EngineHybrid && *tracked == 0 {
-		// Mirror sim's normalize so the report can echo the effective value.
-		*tracked = 256
-		if *tracked > *n {
-			*tracked = *n
-		}
+		*tracked = sim.DefaultTracked(*n) // so the report can echo the effective value
 	}
 
 	// Static runs drop the warmup by default.

@@ -185,17 +185,15 @@ func (o *Options) normalize() {
 		}
 	}
 	if o.Engine == EngineHybrid && o.Tracked == 0 {
-		o.Tracked = defaultTracked
-		if o.Tracked > o.N {
-			o.Tracked = o.N
-		}
+		o.Tracked = DefaultTracked(o.N)
 	}
 }
 
-// defaultTracked is the hybrid engine's default sample size: large enough
-// that tracked-sample noise (∝ 1/√Tracked) is a few percent, small enough
-// that a million-processor run costs no more than a 256-processor DES.
-const defaultTracked = 256
+// DefaultTracked is the hybrid engine's default sample size for n
+// processors, min(256, n): large enough that tracked-sample noise
+// (∝ 1/√Tracked) is a few percent, small enough that a million-processor
+// run costs no more than a 256-processor DES.
+func DefaultTracked(n int) int { return min(256, n) }
 
 // measuredProcs returns the number of processors the Result's counters and
 // per-processor metrics cover: the tracked sample under EngineHybrid, all
