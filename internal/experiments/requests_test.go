@@ -214,16 +214,20 @@ func TestSimSpecWorkload(t *testing.T) {
 }
 
 func TestServiceDistAndPolicy(t *testing.T) {
+	dist := func(name string, stages int) error {
+		_, err := (&workload.ServiceSpec{Dist: name, Stages: stages}).Distribution()
+		return err
+	}
 	for _, name := range []string{"exp", "const", "erlang", "hyper", "uniform"} {
-		if _, err := ServiceDist(name, 10); err != nil {
-			t.Errorf("ServiceDist(%q): %v", name, err)
+		if err := dist(name, 10); err != nil {
+			t.Errorf("service %q: %v", name, err)
 		}
 	}
-	if _, err := ServiceDist("bogus", 0); err == nil {
-		t.Error("ServiceDist accepted bogus name")
+	if dist("bogus", 0) == nil {
+		t.Error("accepted bogus service name")
 	}
-	if _, err := ServiceDist("erlang", -1); err == nil {
-		t.Error("ServiceDist accepted negative stage count")
+	if dist("erlang", -1) == nil {
+		t.Error("accepted negative stage count")
 	}
 	for _, name := range []string{"none", "steal", "rebalance"} {
 		if _, err := ParsePolicy(name); err != nil {

@@ -58,30 +58,6 @@ func NormInf(xs []float64) float64 {
 	return m
 }
 
-// Norm1 returns the sum of absolute values of xs.
-func Norm1(xs []float64) float64 {
-	var k KahanSum
-	for _, x := range xs {
-		k.Add(math.Abs(x))
-	}
-	return k.Sum()
-}
-
-// Norm2 returns the Euclidean norm of xs, guarding against overflow by
-// scaling with the largest magnitude component.
-func Norm2(xs []float64) float64 {
-	scale := NormInf(xs)
-	if scale == 0 {
-		return 0
-	}
-	var k KahanSum
-	for _, x := range xs {
-		r := x / scale
-		k.Add(r * r)
-	}
-	return scale * math.Sqrt(k.Sum())
-}
-
 // Dist1 returns the L1 distance between equal-length vectors a and b.
 // It panics if the lengths differ.
 func Dist1(a, b []float64) float64 {

@@ -1,7 +1,7 @@
 // Package ode implements explicit initial-value-problem integrators for the
 // autonomous systems of differential equations produced by the mean-field
-// work-stealing models: forward Euler, classic fourth-order Runge–Kutta, and
-// an adaptive Cash–Karp Runge–Kutta 4(5) method with step-size control.
+// work-stealing models: forward Euler and classic fourth-order Runge–Kutta,
+// stepped over a span under an optional observer, or run to steady state.
 //
 // All systems in this repository are autonomous (the right-hand side does
 // not depend on t), which keeps the interface small: a System writes the
@@ -9,9 +9,6 @@
 package ode
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/numeric"
@@ -21,19 +18,6 @@ import (
 // Implementations must not retain or modify x, and must fill every element
 // of dx.
 type System func(x, dx []float64)
-
-// ErrStepUnderflow is returned by the adaptive integrator when the step size
-// collapses below the representable minimum, indicating a pathological
-// right-hand side.
-var ErrStepUnderflow = errors.New("ode: adaptive step size underflow")
-
-// ErrDiverged is returned by the adaptive integrator when the state or the
-// error estimate reaches NaN/Inf. It wraps numeric.ErrDiverged, the shared
-// sentinel the serving layer maps to a typed 422 response. Before this
-// guard a NaN right-hand side did not merely mis-integrate: the step
-// controller's shrink factor itself went NaN and the loop never advanced
-// nor terminated.
-var ErrDiverged = fmt.Errorf("ode: %w", numeric.ErrDiverged)
 
 // Euler advances x in place by one forward-Euler step of size h using the
 // provided scratch slice (len >= len(x)).
@@ -123,153 +107,6 @@ func SolveObserved(f System, x []float64, span, h float64, obs Observer) float64
 		}
 	}
 	return t
-}
-
-// AdaptiveOptions configures IntegrateAdaptive.
-type AdaptiveOptions struct {
-	// AbsTol and RelTol are the per-component error tolerances.
-	// Zero values default to 1e-9 and 1e-7 respectively.
-	AbsTol, RelTol float64
-	// InitialStep is the first step attempt; 0 defaults to span/100.
-	InitialStep float64
-	// MaxStep caps the step size; 0 means no cap.
-	MaxStep float64
-}
-
-// Cash–Karp tableau coefficients.
-var (
-	ckB = [6][5]float64{
-		{},
-		{1.0 / 5},
-		{3.0 / 40, 9.0 / 40},
-		{3.0 / 10, -9.0 / 10, 6.0 / 5},
-		{-11.0 / 54, 5.0 / 2, -70.0 / 27, 35.0 / 27},
-		{1631.0 / 55296, 175.0 / 512, 575.0 / 13824, 44275.0 / 110592, 253.0 / 4096},
-	}
-	ckC  = [6]float64{37.0 / 378, 0, 250.0 / 621, 125.0 / 594, 0, 512.0 / 1771}
-	ckDC = [6]float64{
-		37.0/378 - 2825.0/27648,
-		0,
-		250.0/621 - 18575.0/48384,
-		125.0/594 - 13525.0/55296,
-		-277.0 / 14336,
-		512.0/1771 - 1.0/4,
-	}
-)
-
-// IntegrateAdaptive advances x in place from t=0 to t=span with the
-// Cash–Karp embedded RK4(5) pair and standard PI-free step control. It
-// returns the number of accepted steps.
-func IntegrateAdaptive(f System, x []float64, span float64, opt AdaptiveOptions) (int, error) {
-	return IntegrateAdaptiveCtx(context.Background(), f, x, span, opt)
-}
-
-// IntegrateAdaptiveCtx is IntegrateAdaptive under a context: the loop polls
-// ctx between steps and abandons the integration with the context's error
-// once it is cancelled or past its deadline. This is how serving-side
-// callers stop paying for trajectories nobody is waiting for anymore; x is
-// left at the last accepted state.
-func IntegrateAdaptiveCtx(ctx context.Context, f System, x []float64, span float64, opt AdaptiveOptions) (int, error) {
-	if span <= 0 {
-		return 0, nil
-	}
-	atol := opt.AbsTol
-	if atol == 0 {
-		atol = 1e-9
-	}
-	rtol := opt.RelTol
-	if rtol == 0 {
-		rtol = 1e-7
-	}
-	h := opt.InitialStep
-	if h == 0 {
-		h = span / 100
-	}
-	if opt.MaxStep > 0 && h > opt.MaxStep {
-		h = opt.MaxStep
-	}
-
-	n := len(x)
-	var k [6][]float64
-	for i := range k {
-		k[i] = make([]float64, n)
-	}
-	tmp := make([]float64, n)
-	xErr := make([]float64, n)
-	xNew := make([]float64, n)
-
-	t := 0.0
-	accepted := 0
-	const safety, minShrink, maxGrow = 0.9, 0.2, 5.0
-	done := ctx.Done()
-	for t < span {
-		if done != nil {
-			select {
-			case <-done:
-				return accepted, ctx.Err()
-			default:
-			}
-		}
-		if t+h > span {
-			h = span - t
-		}
-		// Evaluate the six stages.
-		f(x, k[0])
-		for s := 1; s < 6; s++ {
-			for i := 0; i < n; i++ {
-				acc := x[i]
-				for j := 0; j < s; j++ {
-					acc += h * ckB[s][j] * k[j][i]
-				}
-				tmp[i] = acc
-			}
-			f(tmp, k[s])
-		}
-		// Fifth-order solution and embedded error estimate.
-		for i := 0; i < n; i++ {
-			var sum, errSum float64
-			for s := 0; s < 6; s++ {
-				sum += ckC[s] * k[s][i]
-				errSum += ckDC[s] * k[s][i]
-			}
-			xNew[i] = x[i] + h*sum
-			xErr[i] = h * errSum
-		}
-		// Scaled max error.
-		errMax := 0.0
-		for i := 0; i < n; i++ {
-			scale := atol + rtol*math.Max(math.Abs(x[i]), math.Abs(xNew[i]))
-			if e := math.Abs(xErr[i]) / scale; e > errMax {
-				errMax = e
-			}
-		}
-		// Divergence guard: a NaN/Inf candidate state or error estimate can
-		// never be stepped out of — the shrink factor below would itself go
-		// NaN and the loop would spin forever at a frozen t. Surface the
-		// typed error instead.
-		if math.IsNaN(errMax) || math.IsInf(errMax, 0) || !numeric.AllFinite(xNew) {
-			return accepted, ErrDiverged
-		}
-		if errMax <= 1 {
-			// Accept.
-			t += h
-			copy(x, xNew)
-			accepted++
-			grow := safety * math.Pow(errMax+1e-30, -0.2)
-			h *= numeric.Clamp(grow, 1, maxGrow)
-			if opt.MaxStep > 0 && h > opt.MaxStep {
-				h = opt.MaxStep
-			}
-		} else {
-			// Reject and shrink.
-			shrink := safety * math.Pow(errMax, -0.25)
-			h *= math.Max(shrink, minShrink)
-			if t+h == t {
-				return accepted, ErrStepUnderflow
-			}
-		}
-	}
-	return accepted, nil
 }
 
 // SteadyOptions configures IntegrateToSteady.

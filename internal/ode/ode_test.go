@@ -1,8 +1,6 @@
 package ode
 
 import (
-	"context"
-	"errors"
 	"math"
 	"testing"
 
@@ -110,58 +108,6 @@ func TestSolveObservedEarlyStop(t *testing.T) {
 	}
 }
 
-func TestAdaptiveAccuracy(t *testing.T) {
-	x := []float64{1, 0} // cos(t), -sin(t) at t
-	steps, err := IntegrateAdaptive(harmonic, x, 2*math.Pi, AdaptiveOptions{AbsTol: 1e-10, RelTol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if steps == 0 {
-		t.Fatal("no steps taken")
-	}
-	if math.Abs(x[0]-1) > 1e-7 || math.Abs(x[1]) > 1e-7 {
-		t.Errorf("after full period x = %v, want (1, 0)", x)
-	}
-}
-
-func TestAdaptiveTakesFewerStepsWhenLoose(t *testing.T) {
-	x1 := []float64{1, 0}
-	tight, err := IntegrateAdaptive(harmonic, x1, 10, AdaptiveOptions{AbsTol: 1e-12, RelTol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x2 := []float64{1, 0}
-	loose, err := IntegrateAdaptive(harmonic, x2, 10, AdaptiveOptions{AbsTol: 1e-4, RelTol: 1e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loose >= tight {
-		t.Errorf("loose tolerance used %d steps, tight used %d", loose, tight)
-	}
-}
-
-func TestAdaptiveMaxStep(t *testing.T) {
-	x := []float64{1}
-	steps, err := IntegrateAdaptive(decay, x, 10, AdaptiveOptions{MaxStep: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if steps < 100 {
-		t.Errorf("MaxStep=0.1 over span 10 should need >= 100 steps, got %d", steps)
-	}
-	if numeric.RelErr(x[0], math.Exp(-10)) > 1e-5 {
-		t.Errorf("adaptive result %v, want %v", x[0], math.Exp(-10))
-	}
-}
-
-func TestAdaptiveZeroSpan(t *testing.T) {
-	x := []float64{1}
-	steps, err := IntegrateAdaptive(decay, x, 0, AdaptiveOptions{})
-	if err != nil || steps != 0 || x[0] != 1 {
-		t.Error("zero-span adaptive integration misbehaved")
-	}
-}
-
 func TestIntegrateToSteady(t *testing.T) {
 	// x' = 1 − x converges to x = 1.
 	relax := func(x, dx []float64) {
@@ -202,89 +148,3 @@ func BenchmarkRK4Dim512(b *testing.B) {
 		RK4(decay, x, 0.01, s)
 	}
 }
-
-func BenchmarkAdaptiveDim128(b *testing.B) {
-	n := 128
-	for i := 0; i < b.N; i++ {
-		x := make([]float64, n)
-		for j := range x {
-			x[j] = 1
-		}
-		if _, err := IntegrateAdaptive(decay, x, 1, AdaptiveOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// nanRHS poisons the derivative immediately; before the divergence guard
-// this hung IntegrateAdaptive forever (NaN error → NaN shrink → frozen t).
-func nanRHS(x, dx []float64) {
-	for i := range dx {
-		dx[i] = math.NaN()
-	}
-}
-
-// explode is x' = x², which blows up in finite time at t = 1/x0 and
-// overflows to +Inf shortly before.
-func explode(x, dx []float64) {
-	for i := range x {
-		dx[i] = x[i] * x[i]
-	}
-}
-
-func TestAdaptiveDivergesOnNaN(t *testing.T) {
-	x := []float64{1}
-	_, err := IntegrateAdaptive(nanRHS, x, 10, AdaptiveOptions{})
-	if !errors.Is(err, ErrDiverged) || !errors.Is(err, numeric.ErrDiverged) {
-		t.Fatalf("err = %v, want ErrDiverged wrapping numeric.ErrDiverged", err)
-	}
-}
-
-func TestAdaptiveDivergesOnBlowUp(t *testing.T) {
-	// x' = x² from x0 = 1e154: x² overflows on the first stage evaluation.
-	x := []float64{1e154}
-	_, err := IntegrateAdaptive(explode, x, 10, AdaptiveOptions{})
-	if !errors.Is(err, numeric.ErrDiverged) {
-		t.Fatalf("err = %v, want numeric.ErrDiverged", err)
-	}
-}
-
-func TestAdaptiveCtxCancelStops(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	x := []float64{1}
-	steps, err := IntegrateAdaptiveCtx(ctx, decay, x, 10, AdaptiveOptions{})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if steps != 0 {
-		t.Fatalf("took %d steps under a cancelled context, want 0", steps)
-	}
-	if x[0] != 1 {
-		t.Fatalf("state advanced to %v under a cancelled context", x[0])
-	}
-}
-
-func TestAdaptiveCtxDeadlineStopsMidway(t *testing.T) {
-	// A context that expires after the first poll: the RHS trips the cancel
-	// itself so the test does not depend on wall-clock timing.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	calls := 0
-	rhs := func(x, dx []float64) {
-		calls++
-		if calls > 60 { // a handful of steps in
-			cancel()
-		}
-		decay(x, dx)
-	}
-	steps, err := IntegrateAdaptiveCtx(ctx, rhs, x0(1), 1e9, AdaptiveOptions{MaxStep: 1e-3})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if steps == 0 {
-		t.Fatal("expected some accepted steps before cancellation")
-	}
-}
-
-func x0(v float64) []float64 { return []float64{v} }
