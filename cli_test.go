@@ -580,6 +580,16 @@ func TestServeMatchesWssimWorkloads(t *testing.T) {
 				`"arrivals":{"kind":"mmpp","rates":[1.6,0.1],"switch":[0.5,0.5]},` +
 				`"horizon":800,"warmup":100,"reps":2,"seed":1998}`,
 		},
+		{
+			// wssim loads the trace file; the served body inlines the
+			// same instants.
+			name: "trace",
+			args: []string{"-n", "16", "-policy", "steal", "-T", "2", "-trace", writeTraceCSV(t),
+				"-horizon", "200", "-warmup", "20", "-reps", "2", "-seed", "1998", "-json"},
+			body: `{"n":16,"policy":"steal","t":2,` +
+				`"arrivals":{"kind":"trace","times":[` + strings.Join(traceTimes(), ",") + `]},` +
+				`"horizon":200,"warmup":20,"reps":2,"seed":1998}`,
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -599,6 +609,28 @@ func TestServeMatchesWssimWorkloads(t *testing.T) {
 				t.Errorf("served simulate report differs from wssim -json\nserved: %s\ncli:    %s", got, want)
 			}
 		})
+	}
+}
+
+// TestCLIWssimBeyondServingCap: the serving caps bound network requests
+// only. wssim runs a spec with more replications than MaxSimReps, and the
+// same spec posted to /v1/simulate is rejected with 400.
+func TestCLIWssimBeyondServingCap(t *testing.T) {
+	out := run(t, "wssim", "-n", "2", "-lambda", "0.5", "-horizon", "10", "-warmup", "1", "-reps", "65")
+	if !strings.Contains(out, "replications:     65 ×") {
+		t.Errorf("wssim -reps 65 did not run 65 replications:\n%s", out)
+	}
+
+	addr := startServed(t)
+	resp, err := http.Post("http://"+addr+"/v1/simulate", "application/json",
+		strings.NewReader(`{"n":2,"lambda":0.5,"horizon":10,"warmup":1,"reps":65}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /v1/simulate with reps 65: status %d, want 400\n%s", resp.StatusCode, body)
 	}
 }
 
