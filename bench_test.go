@@ -174,7 +174,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		events += res.Arrived + res.Completed
+		events += res.Metrics.Arrivals + res.Metrics.Spawns + res.Metrics.Departures
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }

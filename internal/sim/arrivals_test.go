@@ -57,8 +57,8 @@ func TestArrivalsMMPPBursty(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 0.7 * float64(o.N) * o.Horizon
-	if d := math.Abs(float64(r.Arrived)-want) / want; d > 0.15 {
-		t.Errorf("bursty arrivals %d, want ≈ %.0f (mean rate 0.7)", r.Arrived, want)
+	if d := math.Abs(float64(arrived(r))-want) / want; d > 0.15 {
+		t.Errorf("bursty arrivals %d, want ≈ %.0f (mean rate 0.7)", arrived(r), want)
 	}
 	p := arrivalsBase()
 	p.Lambda = 0.7
@@ -85,8 +85,8 @@ func TestArrivalsTraceReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Arrived != int64(len(times)) {
-		t.Errorf("trace delivered %d arrivals, want %d", r.Arrived, len(times))
+	if arrived(r) != int64(len(times)) {
+		t.Errorf("trace delivered %d arrivals, want %d", arrived(r), len(times))
 	}
 	if r.End != o.Horizon {
 		t.Errorf("trace run ended at %v, want horizon %v", r.End, o.Horizon)
@@ -97,11 +97,11 @@ func TestArrivalsTraceReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Arrived != r.Arrived {
-		t.Errorf("trace arrival count varies with seed: %d vs %d", r2.Arrived, r.Arrived)
+	if arrived(r2) != arrived(r) {
+		t.Errorf("trace arrival count varies with seed: %d vs %d", arrived(r2), arrived(r))
 	}
-	if r.Completed != r.Arrived {
-		t.Errorf("trace run completed %d of %d (horizon leaves ample drain time)", r.Completed, r.Arrived)
+	if r.Metrics.Departures != arrived(r) {
+		t.Errorf("trace run completed %d of %d (horizon leaves ample drain time)", r.Metrics.Departures, arrived(r))
 	}
 	if !(r.MeanSojourn > 0) {
 		t.Errorf("degenerate sojourn %v", r.MeanSojourn)

@@ -19,7 +19,7 @@ func benchRun(b *testing.B, opts Options) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		events += res.Arrived + res.Completed
+		events += arrived(res) + res.Metrics.Departures
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }

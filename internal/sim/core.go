@@ -454,11 +454,5 @@ func (c *procCore) finishMetrics(end float64, wall time.Duration) {
 		c.met.EventsPerSec = float64(c.met.Events) / c.met.WallSeconds
 	}
 
-	// The pre-existing Result counters are views of the metrics layer.
-	c.res.Arrived = c.met.Arrivals + c.met.Spawns
-	c.res.Completed = c.met.Departures
-	c.res.StealAttempts = c.met.StealAttempts
-	c.res.StealSuccesses = c.met.StealSuccesses
-	c.res.Rebalances = c.met.Rebalances
 	c.res.Metrics = c.met
 }

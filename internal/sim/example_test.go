@@ -30,7 +30,7 @@ func ExampleRun() {
 		panic(err)
 	}
 	fmt.Printf("stealing beats none: %v\n", steal.MeanSojourn < none.MeanSojourn)
-	fmt.Printf("some steals succeeded: %v\n", steal.StealSuccesses > 0)
+	fmt.Printf("some steals succeeded: %v\n", steal.Metrics.StealSuccesses > 0)
 	// Output:
 	// stealing beats none: true
 	// some steals succeeded: true
@@ -78,7 +78,7 @@ func ExampleRun_staticDrain() {
 		panic(err)
 	}
 	fmt.Printf("drained: %v\n", res.DrainTime > 0)
-	fmt.Printf("all tasks done: %v\n", res.Completed == 64*6)
+	fmt.Printf("all tasks done: %v\n", res.Metrics.Departures == 64*6)
 	// Output:
 	// drained: true
 	// all tasks done: true

@@ -253,7 +253,5 @@ func (f *fluidEngine) run() {
 	if span > 0 {
 		met.Utilization = busyInt / span
 	}
-	f.res.Arrived = met.Arrivals
-	f.res.Completed = met.Departures
 	f.res.Metrics = met
 }

@@ -67,12 +67,12 @@ func TestFuzzConfigurations(t *testing.T) {
 			t.Logf("seed %d: unexpected validation error: %v (%+v)", seed, err, o)
 			return false
 		}
-		if res.Completed > res.Arrived {
-			t.Logf("seed %d: completed %d > arrived %d", seed, res.Completed, res.Arrived)
+		if res.Metrics.Departures > arrived(res) {
+			t.Logf("seed %d: completed %d > arrived %d", seed, res.Metrics.Departures, arrived(res))
 			return false
 		}
-		if res.StealSuccesses > res.StealAttempts {
-			t.Logf("seed %d: successes %d > attempts %d", seed, res.StealSuccesses, res.StealAttempts)
+		if res.Metrics.StealSuccesses > res.Metrics.StealAttempts {
+			t.Logf("seed %d: successes %d > attempts %d", seed, res.Metrics.StealSuccesses, res.Metrics.StealAttempts)
 			return false
 		}
 		if res.MeanLoad < 0 || res.MeanSojourn < 0 {
@@ -147,7 +147,7 @@ func TestFuzzStaticConfigurations(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return res.DrainTime > 0 && res.Completed == int64(n*k)
+		return res.DrainTime > 0 && res.Metrics.Departures == int64(n*k)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -203,8 +203,8 @@ func TestHybridVariants(t *testing.T) {
 			if r.Measured == 0 || !(r.MeanSojourn > 0) {
 				t.Errorf("degenerate result: measured %d, sojourn %v", r.Measured, r.MeanSojourn)
 			}
-			if o.Policy == PolicyNone && r.StealAttempts != 0 {
-				t.Errorf("nosteal made %d steal attempts", r.StealAttempts)
+			if o.Policy == PolicyNone && r.Metrics.StealAttempts != 0 {
+				t.Errorf("nosteal made %d steal attempts", r.Metrics.StealAttempts)
 			}
 		})
 	}

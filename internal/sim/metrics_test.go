@@ -91,12 +91,6 @@ func TestMetricsCounterIdentities(t *testing.T) {
 		t.Errorf("attempts %d != successes %d + fail_empty %d + fail_threshold %d",
 			m.StealAttempts, m.StealSuccesses, m.StealFailEmpty, m.StealFailThreshold)
 	}
-	if m.Departures != res.Completed {
-		t.Errorf("metrics departures %d != result completed %d", m.Departures, res.Completed)
-	}
-	if m.Arrivals+m.Spawns != res.Arrived {
-		t.Errorf("arrivals %d + spawns %d != result arrived %d", m.Arrivals, m.Spawns, res.Arrived)
-	}
 	if got := m.TransfersStarted - m.TransfersCompleted; got != m.TransfersInFlight || got < 0 {
 		t.Errorf("transfers in flight %d (started %d, completed %d)",
 			m.TransfersInFlight, m.TransfersStarted, m.TransfersCompleted)

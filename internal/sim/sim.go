@@ -346,14 +346,6 @@ type Result struct {
 	// MeanLoad is the time-averaged number of tasks per processor
 	// (including tasks in flight) over [Warmup, end].
 	MeanLoad float64
-	// Arrived and Completed count all tasks over the whole run.
-	Arrived   int64
-	Completed int64
-	// StealAttempts and StealSuccesses count steal activity; Rebalances
-	// counts rebalancing events that moved at least one task.
-	StealAttempts  int64
-	StealSuccesses int64
-	Rebalances     int64
 	// Tails is the time-averaged empirical tail vector (nil unless
 	// Options.TailDepth was set): Tails[i] ≈ fraction of processors with
 	// at least i tasks.

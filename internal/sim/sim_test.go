@@ -9,6 +9,9 @@ import (
 	"repro/internal/numeric"
 )
 
+// arrived is a run's task inflow: external arrivals plus spawns.
+func arrived(r Result) int64 { return r.Metrics.Arrivals + r.Metrics.Spawns }
+
 // base options for a quick dynamic run.
 func quickOpts(n int, lambda float64) Options {
 	return Options{
@@ -101,7 +104,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.MeanSojourn == c.MeanSojourn && a.Arrived == c.Arrived {
+	if a.MeanSojourn == c.MeanSojourn && arrived(a) == arrived(c) {
 		t.Error("different seeds produced identical results")
 	}
 }
@@ -115,14 +118,14 @@ func TestTaskConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed > res.Arrived {
-		t.Errorf("completed %d > arrived %d", res.Completed, res.Arrived)
+	if res.Metrics.Departures > arrived(res) {
+		t.Errorf("completed %d > arrived %d", res.Metrics.Departures, arrived(res))
 	}
 	// Loose sanity: in 5000 time units at λ=0.9 with 8 procs expect ~36000
 	// arrivals.
 	want := 0.9 * 8 * o.Horizon
-	if math.Abs(float64(res.Arrived)-want)/want > 0.05 {
-		t.Errorf("arrivals %d far from expected %v", res.Arrived, want)
+	if math.Abs(float64(arrived(res))-want)/want > 0.05 {
+		t.Errorf("arrivals %d far from expected %v", arrived(res), want)
 	}
 }
 
@@ -143,8 +146,8 @@ func TestStealingReducesSojourn(t *testing.T) {
 	if steal.MeanSojourn >= none.MeanSojourn {
 		t.Errorf("stealing (%v) no better than none (%v)", steal.MeanSojourn, none.MeanSojourn)
 	}
-	if steal.StealSuccesses == 0 || steal.StealAttempts < steal.StealSuccesses {
-		t.Errorf("steal counters wrong: %d/%d", steal.StealSuccesses, steal.StealAttempts)
+	if steal.Metrics.StealSuccesses == 0 || steal.Metrics.StealAttempts < steal.Metrics.StealSuccesses {
+		t.Errorf("steal counters wrong: %d/%d", steal.Metrics.StealSuccesses, steal.Metrics.StealAttempts)
 	}
 }
 
@@ -204,7 +207,7 @@ func TestRepeatedRetriesHelp(t *testing.T) {
 	if retry.MeanSojourn >= base.MeanSojourn {
 		t.Errorf("retries (%v) no better than none (%v)", retry.MeanSojourn, base.MeanSojourn)
 	}
-	if retry.StealAttempts <= base.StealAttempts {
+	if retry.Metrics.StealAttempts <= base.Metrics.StealAttempts {
 		t.Error("retries should increase attempts")
 	}
 }
@@ -266,7 +269,7 @@ func TestRebalancePolicy(t *testing.T) {
 	if reb.MeanSojourn >= none.MeanSojourn {
 		t.Errorf("rebalancing (%v) no better than none (%v)", reb.MeanSojourn, none.MeanSojourn)
 	}
-	if reb.Rebalances == 0 {
+	if reb.Metrics.Rebalances == 0 {
 		t.Error("no rebalancing events recorded")
 	}
 }
@@ -308,8 +311,8 @@ func TestStaticDrain(t *testing.T) {
 	if res.DrainTime < 0 {
 		t.Fatal("system never drained")
 	}
-	if res.Completed != int64(32*4) {
-		t.Errorf("completed %d, want %d", res.Completed, 32*4)
+	if res.Metrics.Departures != int64(32*4) {
+		t.Errorf("completed %d, want %d", res.Metrics.Departures, 32*4)
 	}
 	// With stealing, drain time should be near the makespan lower bound of
 	// max load ≈ 4·mean service, far below the no-stealing tail.
@@ -386,7 +389,7 @@ func TestInternalSpawning(t *testing.T) {
 	// Effective arrival rate is 0.4 external plus 0.3 per busy processor;
 	// utilization ρ solves ρ = 0.4 + 0.3ρ → ρ = 4/7.
 	wantBusy := 0.4 / (1 - 0.3)
-	perArrival := float64(res.Arrived) / (float64(o.N) * res.End)
+	perArrival := float64(arrived(res)) / (float64(o.N) * res.End)
 	if math.Abs(perArrival-wantBusy) > 0.05 {
 		t.Errorf("effective arrival rate %v, want ~%v", perArrival, wantBusy)
 	}
@@ -435,8 +438,8 @@ func TestWarmupExcludesEarlyTasks(t *testing.T) {
 	}
 	// Roughly 0.5·8·1000 = 4000 tasks arrive after warmup; measured count
 	// must be well below total arrivals.
-	if res.Measured >= res.Arrived/2 {
-		t.Errorf("warmup not excluding tasks: measured %d of %d", res.Measured, res.Arrived)
+	if res.Measured >= arrived(res)/2 {
+		t.Errorf("warmup not excluding tasks: measured %d of %d", res.Measured, arrived(res))
 	}
 }
 
@@ -444,9 +447,9 @@ func TestWarmupExcludesEarlyTasks(t *testing.T) {
 // so == is unavailable).
 func resultsEqual(a, b Result) bool {
 	if a.MeanSojourn != b.MeanSojourn || a.Measured != b.Measured ||
-		a.MeanLoad != b.MeanLoad || a.Arrived != b.Arrived ||
-		a.Completed != b.Completed || a.StealAttempts != b.StealAttempts ||
-		a.StealSuccesses != b.StealSuccesses || a.Rebalances != b.Rebalances ||
+		a.MeanLoad != b.MeanLoad || arrived(a) != arrived(b) ||
+		a.Metrics.Departures != b.Metrics.Departures || a.Metrics.StealAttempts != b.Metrics.StealAttempts ||
+		a.Metrics.StealSuccesses != b.Metrics.StealSuccesses || a.Metrics.Rebalances != b.Metrics.Rebalances ||
 		a.DrainTime != b.DrainTime || a.End != b.End || len(a.Tails) != len(b.Tails) {
 		return false
 	}
