@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/rng"
 )
@@ -270,16 +269,11 @@ func (s *ArrivalSpec) Validate() error {
 }
 
 // Process normalizes, validates, and builds the arrival process. Poisson
-// returns (nil, nil): the engines keep their native merged-Poisson stream,
-// so the workload layer is zero-cost when no bursty model is requested.
+// (and a nil spec) returns (nil, nil): the engines keep their native
+// merged-Poisson stream, so the workload layer is zero-cost when no bursty
+// model is requested.
 func (s *ArrivalSpec) Process() (ArrivalProcess, error) {
-	if s.IsPoisson() {
-		if s != nil {
-			s.Normalize()
-			if err := s.Validate(); err != nil {
-				return nil, err
-			}
-		}
+	if s == nil {
 		return nil, nil
 	}
 	s.Normalize()
@@ -290,10 +284,7 @@ func (s *ArrivalSpec) Process() (ArrivalProcess, error) {
 	case "mmpp":
 		return MMPP{Rates: s.Rates, Switch: s.Switch}, nil
 	case "trace":
-		if !sort.Float64sAreSorted(s.Times) {
-			return nil, fmt.Errorf("workload: trace times must be sorted")
-		}
 		return Trace{Times: s.Times}, nil
 	}
-	return nil, fmt.Errorf("workload: unknown arrival kind %q", s.Kind)
+	return nil, nil // poisson: Validate has rejected every other kind
 }
