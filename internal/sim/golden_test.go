@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/workload"
 )
 
 var updateGoldens = flag.Bool("update", false, "rewrite the DES golden files under testdata/goldens/")
@@ -71,7 +72,35 @@ func goldenCases() map[string]Options {
 			o.RetryRate = 5
 			o.Warmup = 0
 		}),
+		// ties: a trace on the integer grid with unit deterministic
+		// service keeps every event time integral, so departures tie
+		// exactly with arrivals and only the calendar's seq tie-break
+		// orders them.
+		"ties": mut(func(o *Options) {
+			o.Lambda = 0
+			o.Arrivals = workload.Trace{Times: gridTrace(1, 1500)}
+			o.Service = dist.NewDeterministic(1)
+		}),
+		// exp2: a service rate other than 1 keeps the division of the
+		// exponential sample by its rate pinned.
+		"exp2": mut(func(o *Options) {
+			o.Lambda = 1.7
+			o.Service = dist.NewExponential(2)
+		}),
 	}
+}
+
+// gridTrace returns system-wide arrival instants on the integer grid
+// [from, to): between 23 and 31 arrivals at each instant, 27 on average
+// (per-processor load about 0.85 at n=32).
+func gridTrace(from, to int) []float64 {
+	var times []float64
+	for i := from; i < to; i++ {
+		for k := 0; k < 23+(i*7)%9; k++ {
+			times = append(times, float64(i))
+		}
+	}
+	return times
 }
 
 // scrubResult zeroes the wall-clock fields, the only nondeterministic part
