@@ -127,8 +127,7 @@ func (q *Calendar) dayOf(t float64) int64 {
 // Push inserts an event. The tie-break sequence number is assigned
 // internally, so simultaneous events pop in push order.
 func (q *Calendar) Push(e Event) {
-	e.seq = q.seq
-	q.seq++
+	q.Reserve(&e)
 	d := q.dayOf(e.Time)
 	if d > q.day && q.n+len(q.today)-q.cur > 0 {
 		// The common case: a future day. Unsorted append; ordering is
@@ -150,6 +149,19 @@ func (q *Calendar) Push(e Event) {
 	if (q.n > 2*len(q.b) && len(q.b) < calMaxBuckets) || q.work > q.workBudget() {
 		q.recalibrate()
 	}
+}
+
+// Reserve stamps *e with the tie-break number Push would assign it now,
+// and consumes that number, without inserting e. An event kept outside
+// the calendar under its reservation orders against the calendar's events
+// (by Before, against Peek) exactly as if it had been pushed at the
+// moment of the reservation. Stamping in place, rather than returning a
+// stamped copy, keeps the caller's event where it lives: a copy out of a
+// temporary whose fields were just written piecewise stalls the store
+// buffer on every call.
+func (q *Calendar) Reserve(e *Event) {
+	e.seq = q.seq
+	q.seq++
 }
 
 // pushNear handles the pushes that interact with the drain state: the
@@ -182,8 +194,7 @@ func (q *Calendar) pushNear(d int64, e Event) {
 	t := q.today
 	j := len(t)
 	for j > q.cur {
-		p := &t[j-1]
-		if p.Time < e.Time || (p.Time == e.Time && p.seq < e.seq) {
+		if t[j-1].Before(&e) {
 			break
 		}
 		j--
@@ -467,7 +478,7 @@ func sortEvents(a []Event) {
 	for i := 1; i < len(a); i++ {
 		e := a[i]
 		j := i - 1
-		for j >= 0 && (a[j].Time > e.Time || (a[j].Time == e.Time && a[j].seq > e.seq)) {
+		for j >= 0 && e.Before(&a[j]) {
 			a[j+1] = a[j]
 			j--
 		}

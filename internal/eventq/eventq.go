@@ -14,6 +14,12 @@
 // times correctly. Cancellation uses epoch counters checked by the caller
 // on dequeue (lazy invalidation) rather than in-queue deletion; the queue
 // itself only needs Push and PopMin.
+//
+// A client may also keep some of its events beside the calendar: Reserve
+// stamps an event with the tie-break number a Push at that moment would
+// have assigned, without inserting it, and Before compares two stamped
+// events in pop order. Merging such events with Peek by Before pops every
+// event exactly where one calendar holding all of them would.
 package eventq
 
 // Kind identifies the type of a simulator event. The simulator defines the
@@ -28,4 +34,10 @@ type Event struct {
 	Proc  int32   // processor index the event applies to
 	Aux   int32   // second processor / parameter, event-specific
 	Epoch uint32  // validity epoch for lazy cancellation
+}
+
+// Before reports whether e pops before f: the earlier time, or on equal
+// times the smaller tie-break number.
+func (e *Event) Before(f *Event) bool {
+	return e.Time < f.Time || (e.Time == f.Time && e.seq < f.seq)
 }

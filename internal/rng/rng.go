@@ -199,12 +199,20 @@ func mul64(a, b uint64) (hi, lo uint64) {
 }
 
 // Exp returns an exponentially distributed value with the given rate
-// (mean 1/rate), via inversion. It panics if rate <= 0.
+// (mean 1/rate), via inversion. It panics if rate <= 0. It is exactly
+// Exp1()/rate: the same draws, the same bits.
 func (r *Source) Exp(rate float64) float64 {
 	if rate <= 0 {
 		panic("rng: Exp with rate <= 0")
 	}
-	return -math.Log(r.Float64Open()) / rate
+	return r.Exp1() / rate
+}
+
+// Exp1 returns a unit-rate exponential value, −log U for U from
+// Float64Open. A caller whose rate is 1 skips Exp's division: IEEE 754
+// gives x/1 == x exactly, so the result is bit-identical to Exp(1).
+func (r *Source) Exp1() float64 {
+	return -math.Log(r.Float64Open())
 }
 
 // Erlang returns the sum of k independent exponentials each with the given

@@ -146,6 +146,44 @@ func TestExpMoments(t *testing.T) {
 	}
 }
 
+// TestExpIsExp1OverRate pins the contract the simulator's division skip
+// rests on: Exp(rate) is Exp1()/rate bit for bit, Exp(1) is Exp1(), and
+// both consume exactly the draws of −log(Float64Open()) — including the
+// draws Float64Open skips because they map to 0.
+func TestExpIsExp1OverRate(t *testing.T) {
+	// planted returns a source whose buffered draws include runs of values
+	// that map to Float64() == 0 (below 2^11), so Float64Open must skip
+	// them.
+	planted := func(seed uint64) *Source {
+		r := New(seed)
+		r.Uint64() // fill the buffer
+		for _, i := range []int{1, 2, 5, 6, 7, 40} {
+			r.buf[i] = uint64(i) // < 1<<11: Float64() == 0
+		}
+		return r
+	}
+	for _, rate := range []float64{1, 2, 2.5, 0.85 * 32, 1e-3, 1.5} {
+		a, b, c := planted(9), planted(9), planted(9)
+		for i := 0; i < 3*bufLen; i++ {
+			got := a.Exp(rate)
+			viaExp1 := b.Exp1() / rate
+			viaOpen := -math.Log(c.Float64Open()) / rate
+			if math.Float64bits(got) != math.Float64bits(viaExp1) || math.Float64bits(got) != math.Float64bits(viaOpen) {
+				t.Fatalf("rate %v draw %d: Exp %v, Exp1()/rate %v, -log(Float64Open())/rate %v", rate, i, got, viaExp1, viaOpen)
+			}
+		}
+		if x, y, z := a.Uint64(), b.Uint64(), c.Uint64(); x != y || x != z {
+			t.Fatalf("rate %v: stream positions diverged after identical draws", rate)
+		}
+	}
+	a, b := planted(3), planted(3)
+	for i := 0; i < bufLen; i++ {
+		if x, y := a.Exp(1), b.Exp1(); math.Float64bits(x) != math.Float64bits(y) {
+			t.Fatalf("draw %d: Exp(1) = %v, Exp1() = %v", i, x, y)
+		}
+	}
+}
+
 func TestErlangMoments(t *testing.T) {
 	r := New(23)
 	const n = 500000
