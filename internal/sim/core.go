@@ -25,7 +25,7 @@ import (
 
 // Event kinds used by the engines.
 const (
-	evArrival   eventq.Kind = iota // external arrival stream for one class
+	evArrival   eventq.Kind = iota // external arrival chain (held in the arrival lane)
 	evSpawn                        // internal spawn stream (thinned)
 	evDeparture                    // head-of-queue service completion
 	evRetry                        // repeated steal attempt by an idle thief
@@ -150,6 +150,51 @@ func (ps *procSoA) popBack(p int32) float64 {
 	return ps.q[p].PopBack()
 }
 
+// arrivalLane keeps the external arrival chains beside the calendar
+// instead of in it. Arrivals are half of all events, and a chain only ever
+// has one pending event, so holding it outside the calendar saves every
+// arrival a calendar Push and PopMin. A chain's next event takes its
+// tie-break number through Calendar.Reserve at the moment the engine would
+// have pushed it, so the run loop's merge — the lane head when it is Before
+// the calendar's Peek, else PopMin — pops every event in exactly the
+// (Time, seq) order of one calendar holding them all.
+//
+// A single chain (the merged Poisson stream, a custom process, the
+// hybrid's sample stream) lives in head alone. Per-class chains keep one
+// slot each, and head holds a copy of the earliest. A pending event at
+// Time +Inf stands for none.
+type arrivalLane struct {
+	head  eventq.Event
+	slots []eventq.Event // per-class chains' pending events; empty for a single chain
+}
+
+// open empties the lane for a single chain (classes = 0) or one chain per
+// class, none pending, recycling the slots of any previous run.
+func (l *arrivalLane) open(classes int) {
+	l.end()
+	l.slots = l.slots[:0]
+	for i := 0; i < classes; i++ {
+		l.slots = append(l.slots, l.head)
+	}
+}
+
+// end leaves the single chain with no pending event. It takes no
+// tie-break number: a chain that pushes nothing consumes none.
+func (l *arrivalLane) end() { l.head = eventq.Event{Time: math.Inf(1)} }
+
+// refresh recomputes the head from the per-class slots.
+func (l *arrivalLane) refresh() {
+	l.head = l.slots[0]
+	for j := range l.slots {
+		if l.slots[j].Before(&l.head) {
+			l.head = l.slots[j]
+		}
+	}
+}
+
+// empty reports whether no chain has a pending event.
+func (l *arrivalLane) empty() bool { return math.IsInf(l.head.Time, 1) }
+
 // procCore is the per-processor simulation state and mechanics shared by
 // the DES and hybrid engines, over n simulated processors (N for DES,
 // Tracked for the hybrid).
@@ -160,6 +205,10 @@ type procCore struct {
 	ps  procSoA
 	n   int // simulated processors
 	now float64
+
+	// lane holds the external arrival chains, which never enter q; each
+	// engine's init opens it for its chains.
+	lane arrivalLane
 
 	// Hot-path accelerators, fixed per run. svcExp > 0 marks an
 	// exponential service distribution whose samples are drawn directly
@@ -204,7 +253,7 @@ type procCore struct {
 // results are byte-identical (the calendar's pop order does not depend on
 // the bucket calibration it keeps).
 func (c *procCore) reset(o Options, stream *rng.Source, n int) {
-	q, ps, stealBuf := c.q, c.ps, c.stealBuf
+	q, ps, stealBuf, lane := c.q, c.ps, c.stealBuf, c.lane
 	if q == nil {
 		q = eventq.NewCalendar(4 * n)
 	} else {
@@ -214,7 +263,7 @@ func (c *procCore) reset(o Options, stream *rng.Source, n int) {
 		stealBuf = make([]float64, 0, dequeArenaCap)
 	}
 	*c = procCore{
-		o: o, r: stream, q: q, ps: ps, n: n,
+		o: o, r: stream, q: q, lane: lane, ps: ps, n: n,
 		pick:     rng.NewBounded(n),
 		res:      Result{DrainTime: -1, P50: math.NaN(), P95: math.NaN(), P99: math.NaN()},
 		stealBuf: stealBuf,
@@ -283,16 +332,32 @@ func (c *procCore) enqueue(p int32, arrival float64) {
 }
 
 // scheduleDeparture samples a service time for the task now at the head of
-// p's queue, which must be non-empty.
+// p's queue, which must be non-empty. Both divisions — by the exponential
+// service rate and by p's rate multiplier — are skipped when the divisor
+// is 1: IEEE 754 gives x/1 == x exactly, so the sample is bit-identical
+// and every cell at unit rates saves a divide or two per departure.
 func (c *procCore) scheduleDeparture(p int32) {
 	var s float64
 	if c.svcExp > 0 {
-		s = c.r.Exp(c.svcExp)
+		s = c.r.Exp1()
+		if c.svcExp != 1 {
+			s /= c.svcExp
+		}
 	} else {
 		s = c.o.Service.Sample(c.r)
 	}
-	s /= c.ps.rate[p]
+	if rate := c.ps.rate[p]; rate != 1 {
+		s /= rate
+	}
 	c.q.Push(eventq.Event{Time: c.now + s, Kind: evDeparture, Proc: p})
+}
+
+// scheduleArrival sets the single arrival chain's next event at time t,
+// reserving the calendar's next tie-break number for it exactly where a
+// Push would have taken one.
+func (c *procCore) scheduleArrival(t float64) {
+	c.lane.head = eventq.Event{Time: t, Kind: evArrival}
+	c.q.Reserve(&c.lane.head)
 }
 
 // completeTask removes the head task of p, records its sojourn, and starts

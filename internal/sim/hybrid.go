@@ -169,10 +169,12 @@ func (h *hybridEngine) init(o Options, stream *rng.Source) {
 		h.probeBound = h.alphaBar * (1 - h.trackedFrac) * float64(o.Tracked)
 	}
 
-	// Priming events: the merged arrival stream of the sample, the fluid
-	// tick chain, the probe chain, and the samplers. Unlike the DES engine,
-	// the series chain starts with an event at t = 0.
-	h.q.Push(eventq.Event{Time: h.r.Exp(o.Lambda * float64(o.Tracked)), Kind: evArrival})
+	// Priming events: the merged arrival stream of the sample (in the
+	// arrival lane), the fluid tick chain, the probe chain, and the
+	// samplers. Unlike the DES engine, the series chain starts with an
+	// event at t = 0.
+	h.lane.open(0)
+	h.scheduleArrival(h.r.Exp(o.Lambda * float64(o.Tracked)))
 	h.q.Push(eventq.Event{Time: hybridFluidStep, Kind: evFluid})
 	if h.probeBound > 0 {
 		h.q.Push(eventq.Event{Time: h.r.Exp(h.probeBound), Kind: evProbe})
@@ -314,11 +316,22 @@ func (h *hybridEngine) probe() {
 func (h *hybridEngine) run() {
 	o := &h.o
 	wallStart := time.Now()
-	for h.q.Len() > 0 {
+	for {
 		if o.Stop != nil && h.met.Events&stopCheckMask == stopCheckMask && o.Stop.Load() {
 			break
 		}
-		ev := h.q.PopMin() // inlined, as in engine.run
+		// The lane-or-calendar merge of engine.run, inlined the same way.
+		var ev eventq.Event
+		if h.q.Len() == 0 {
+			if h.lane.empty() {
+				break
+			}
+			ev = h.lane.head
+		} else if ev = h.q.Peek(); ev.Before(&h.lane.head) {
+			h.q.PopMin()
+		} else {
+			ev = h.lane.head
+		}
 		if ev.Time > o.Horizon {
 			break
 		}
@@ -330,7 +343,7 @@ func (h *hybridEngine) run() {
 		case evArrival:
 			h.addTask(int32(h.pick.Next(h.r)), h.now)
 			h.met.Arrivals++
-			h.q.Push(eventq.Event{Time: h.now + h.r.Exp(o.Lambda*float64(o.Tracked)), Kind: evArrival})
+			h.scheduleArrival(h.now + h.r.Exp(o.Lambda*float64(o.Tracked)))
 
 		case evDeparture:
 			h.completeTask(ev.Proc)
