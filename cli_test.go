@@ -16,6 +16,8 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 var buildDir string
@@ -631,6 +633,26 @@ func TestCLIWssimBeyondServingCap(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("POST /v1/simulate with reps 65: status %d, want 400\n%s", resp.StatusCode, body)
+	}
+}
+
+// TestCLIWssimLongTrace: the trace-point cap binds served requests only.
+// wssim replays a trace one point longer than workload.MaxTracePoints and
+// places every arrival.
+func TestCLIWssimLongTrace(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i <= workload.MaxTracePoints; i++ {
+		fmt.Fprintf(&b, "%g\n", float64(i)/100)
+	}
+	path := filepath.Join(t.TempDir(), "long.csv")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := run(t, "wssim", "-n", "128", "-policy", "steal", "-T", "2", "-trace", path,
+		"-horizon", "1000", "-warmup", "100", "-reps", "1")
+	want := fmt.Sprintf("arrived=%d ", workload.MaxTracePoints+1)
+	if !strings.Contains(out, fmt.Sprintf("trace(%d arrivals)", workload.MaxTracePoints+1)) || !strings.Contains(out, want) {
+		t.Errorf("wssim did not replay the %d-point trace:\n%s", workload.MaxTracePoints+1, out)
 	}
 }
 

@@ -166,6 +166,46 @@ func TestSimSpecCaps(t *testing.T) {
 	}
 }
 
+// TestSimSpecArrivalCaps: the serving caps on arrival specs — trace points
+// and MMPP phases — bind Options with the messages ArrivalSpec.Validate
+// used to give, and leave BatchOptions free: a batch run replays any trace.
+func TestSimSpecArrivalCaps(t *testing.T) {
+	long := make([]float64, workload.MaxTracePoints+1)
+	for i := range long {
+		long[i] = float64(i) / 100
+	}
+	phases := make([]float64, workload.MaxMMPPPhases+1)
+	for i := range phases {
+		phases[i] = 1
+	}
+	for _, tc := range []struct {
+		arr  workload.ArrivalSpec
+		want string
+	}{
+		{workload.ArrivalSpec{Kind: "trace", Times: long},
+			"workload: trace needs 1 to 100000 arrival times, got 100001"},
+		{workload.ArrivalSpec{Kind: "trace"},
+			"workload: trace needs 1 to 100000 arrival times, got 0"},
+		{workload.ArrivalSpec{Kind: "mmpp", Rates: phases, Switch: phases},
+			"workload: mmpp needs 1 to 8 phase rates, got 9"},
+	} {
+		arr := tc.arr
+		s := SimSpec{N: 16, Horizon: 100, Warmup: 10, Reps: 1, Arrivals: &arr}
+		_, err := s.Options()
+		if !errors.Is(err, ErrWorkloadSpec) || !strings.HasSuffix(err.Error(), ": "+tc.want) {
+			t.Errorf("Options(%s, %d points): %v, want ErrWorkloadSpec ending %q", arr.Kind, len(arr.Times)+len(arr.Rates), err, tc.want)
+		}
+		if len(arr.Times)+len(arr.Rates) == 0 {
+			continue // empty: rejected uncapped too
+		}
+		b := tc.arr
+		s = SimSpec{N: 16, Horizon: 100, Warmup: 10, Reps: 1, Arrivals: &b}
+		if _, err := s.BatchOptions(); err != nil {
+			t.Errorf("BatchOptions(%s, %d points): %v", b.Kind, len(b.Times)+len(b.Rates), err)
+		}
+	}
+}
+
 // TestSimSpecBatchOptions: the batch entry point runs the same conversion
 // without the serving caps. Specs beyond a cap convert, specs within the
 // caps convert to the same options as Options, and the simulator's own

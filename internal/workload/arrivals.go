@@ -13,6 +13,8 @@ import (
 var ArrivalKinds = []string{"poisson", "mmpp", "trace"}
 
 // Serving-side caps on arrival specs: a network request gets bounded state.
+// Validate does not enforce them — a batch run may replay any trace — the
+// serving conversion (experiments.SimSpec.Options) does.
 const (
 	// MaxMMPPPhases caps the modulating chain of an MMPP arrival spec.
 	MaxMMPPPhases = 8
@@ -200,7 +202,7 @@ func (s *ArrivalSpec) Normalize() {
 	}
 }
 
-// Validate checks a normalized spec, enforcing the serving caps.
+// Validate checks a normalized spec. It enforces no serving cap.
 func (s *ArrivalSpec) Validate() error {
 	switch s.Kind {
 	case "poisson":
@@ -212,8 +214,8 @@ func (s *ArrivalSpec) Validate() error {
 		if len(s.Times) > 0 || s.Path != "" {
 			return fmt.Errorf("workload: mmpp arrivals take rates/switch, not a trace")
 		}
-		if len(s.Rates) < 1 || len(s.Rates) > MaxMMPPPhases {
-			return fmt.Errorf("workload: mmpp needs 1 to %d phase rates, got %d", MaxMMPPPhases, len(s.Rates))
+		if len(s.Rates) < 1 {
+			return fmt.Errorf("workload: mmpp needs at least 1 phase rate")
 		}
 		anyPositive := false
 		for i, v := range s.Rates {
@@ -249,8 +251,8 @@ func (s *ArrivalSpec) Validate() error {
 		if s.Path != "" {
 			return fmt.Errorf("workload: trace path %q must be loaded client-side (inline the times)", s.Path)
 		}
-		if len(s.Times) < 1 || len(s.Times) > MaxTracePoints {
-			return fmt.Errorf("workload: trace needs 1 to %d arrival times, got %d", MaxTracePoints, len(s.Times))
+		if len(s.Times) < 1 {
+			return fmt.Errorf("workload: trace needs at least 1 arrival time")
 		}
 		prev := math.Inf(-1)
 		for i, v := range s.Times {

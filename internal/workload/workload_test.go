@@ -161,7 +161,6 @@ func TestArrivalSpecJSONAndValidate(t *testing.T) {
 		{Kind: "trace", Times: []float64{1, math.Inf(1)}},
 		{Kind: "trace", Times: []float64{2, 1}},
 		{Kind: "trace", Times: []float64{-1}},
-		{Kind: "trace", Times: make([]float64, MaxTracePoints+1)},
 		{Kind: "trace", Path: "file.csv"},
 		{Kind: "trace", Times: []float64{1}, Rates: []float64{1}},
 	}
