@@ -177,6 +177,12 @@ func TestGoldenFilesCommitted(t *testing.T) {
 	if _, err := os.Stat(text); err != nil && !*update {
 		t.Errorf("golden file %s missing: %v", text, err)
 	}
+	for name := range cliGoldenCases {
+		p := filepath.Join("testdata", name, "cli.golden.txt")
+		if _, err := os.Stat(p); err != nil && !*update {
+			t.Errorf("golden file %s missing: %v", p, err)
+		}
+	}
 }
 
 // wssimTextCase is one text-mode wssim invocation pinned by the text
@@ -261,5 +267,65 @@ func TestGoldenWssimText(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("wssim text output drifted from %s.\nGot:\n%s\nWant:\n%s\n(regenerate with -update if the change is intentional)",
 			golden, got, want)
+	}
+}
+
+// cliGoldenCases lists, per mean-field CLI, the invocations its golden
+// pins: each output mode (text or CSV, -metrics, -json, and wsode's
+// -plot) plus the -h usage text, which fixes every flag and default.
+var cliGoldenCases = map[string][]wssimTextCase{
+	"wsfixed": {
+		{"usage", []string{"-h"}},
+		{"default", nil},
+		{"threshold-metrics", []string{"-model", "threshold", "-lambda", "0.8", "-T", "3", "-metrics"}},
+		{"transfer-metrics", []string{"-model", "transfer", "-T", "4", "-r", "0.25", "-tails", "5", "-metrics"}},
+		{"stages-metrics", []string{"-model", "stages", "-lambda", "0.7", "-c", "4", "-tails", "4", "-metrics"}},
+		{"choices-json", []string{"-model", "choices", "-lambda", "0.7", "-d", "3", "-tails", "4", "-json"}},
+		{"spawning-json", []string{"-model", "spawning", "-lambda", "0.6", "-li", "0.2", "-tails", "3", "-json"}},
+	},
+	"wsode": {
+		{"usage", []string{"-h"}},
+		{"csv", []string{"-model", "simple", "-lambda", "0.8", "-span", "40", "-dt", "5"}},
+		{"threshold-metrics", []string{"-model", "threshold", "-T", "3", "-span", "60", "-metrics"}},
+		{"choices-json", []string{"-model", "choices", "-lambda", "0.7", "-d", "3", "-span", "10", "-dt", "2.5", "-json"}},
+		{"nosteal-plot", []string{"-model", "nosteal", "-lambda", "0.5", "-span", "30", "-plot"}},
+	},
+}
+
+// TestGoldenMeanFieldCLIs pins wsfixed's and wsode's whole output in
+// every mode, one file per binary with each case under a "== name"
+// header. The usage text names the binary by its path, which is
+// normalised to the bare name. Regenerate with
+// `go test -run TestGoldenMeanFieldCLIs -update`.
+func TestGoldenMeanFieldCLIs(t *testing.T) {
+	for name, cases := range cliGoldenCases {
+		t.Run(name, func(t *testing.T) {
+			var b strings.Builder
+			for _, c := range cases {
+				out := run(t, name, c.args...)
+				out = strings.ReplaceAll(out, filepath.Join(buildCmds(t), name), name)
+				fmt.Fprintf(&b, "== %s\n%s", c.name, out)
+			}
+			got := b.String()
+			golden := filepath.Join("testdata", name, "cli.golden.txt")
+			if *update {
+				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("updated %s", golden)
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("missing golden file (run `go test -run TestGoldenMeanFieldCLIs -update`): %v", err)
+			}
+			if got != string(want) {
+				t.Errorf("%s output drifted from %s.\nGot:\n%s\nWant:\n%s\n(regenerate with -update if the change is intentional)",
+					name, golden, got, want)
+			}
+		})
 	}
 }
