@@ -106,13 +106,14 @@ func run() int {
 	retryAttempts := flag.Int("cluster.retry.attempts", 3, "completion POST attempts before abandoning")
 
 	// Deterministic fault injection (self-test only; inert at defaults).
-	chaosSeed := flag.Uint64("chaos.seed", 0, "chaos decision-stream seed")
-	chaosPLatency := flag.Float64("chaos.p.latency", 0, "per-probe latency-fault probability")
-	chaosPError := flag.Float64("chaos.p.error", 0, "per-probe error-fault probability")
-	chaosPPanic := flag.Float64("chaos.p.panic", 0, "per-probe panic-fault probability")
-	chaosPPerturb := flag.Float64("chaos.p.perturb", 0, "per-probe numeric-perturbation probability")
-	chaosPPartition := flag.Float64("chaos.p.partition", 0, "per-RPC network-partition probability (cluster links)")
-	chaosLatency := flag.Duration("chaos.latency", 5*time.Millisecond, "injected latency per fault")
+	var cc chaos.Config
+	flag.Uint64Var(&cc.Seed, "chaos.seed", 0, "chaos decision-stream seed")
+	flag.Float64Var(&cc.PLatency, "chaos.p.latency", 0, "per-probe latency-fault probability")
+	flag.Float64Var(&cc.PError, "chaos.p.error", 0, "per-probe error-fault probability")
+	flag.Float64Var(&cc.PPanic, "chaos.p.panic", 0, "per-probe panic-fault probability")
+	flag.Float64Var(&cc.PPerturb, "chaos.p.perturb", 0, "per-probe numeric-perturbation probability")
+	flag.Float64Var(&cc.PPartition, "chaos.p.partition", 0, "per-RPC network-partition probability (cluster links)")
+	flag.DurationVar(&cc.Latency, "chaos.latency", 5*time.Millisecond, "injected latency per fault")
 	flag.Parse()
 
 	var logger *slog.Logger
@@ -131,21 +132,13 @@ func run() int {
 	// The injector stays nil unless at least one probability is set, so the
 	// default daemon carries zero chaos machinery on its hot paths.
 	var inj *chaos.Injector
-	if *chaosPLatency > 0 || *chaosPError > 0 || *chaosPPanic > 0 || *chaosPPerturb > 0 || *chaosPPartition > 0 {
-		inj = chaos.New(chaos.Config{
-			Seed:       *chaosSeed,
-			PLatency:   *chaosPLatency,
-			PError:     *chaosPError,
-			PPanic:     *chaosPPanic,
-			PPerturb:   *chaosPPerturb,
-			PPartition: *chaosPPartition,
-			Latency:    *chaosLatency,
-		})
+	if cc.Enabled() {
+		inj = chaos.New(cc)
 		logger.Warn("chaos injection enabled",
-			"seed", *chaosSeed,
-			"p_latency", *chaosPLatency, "p_error", *chaosPError,
-			"p_panic", *chaosPPanic, "p_perturb", *chaosPPerturb,
-			"p_partition", *chaosPPartition)
+			"seed", cc.Seed,
+			"p_latency", cc.PLatency, "p_error", cc.PError,
+			"p_panic", cc.PPanic, "p_perturb", cc.PPerturb,
+			"p_partition", cc.PPartition)
 	}
 
 	// In cluster mode the pool is created here and shared between the

@@ -11,7 +11,7 @@ import (
 
 // The tables the paper publishes must not depend on how many workers the
 // global scheduler happens to run, nor on whether builders share a pool:
-// replication i of every cell always consumes the stream Derive(seed, i)
+// replication i of every cell always consumes the stream DeriveSeed(seed, i)
 // and lands in slot i, so any interleaving assembles the same bytes.
 
 // csvBytes renders a table to its canonical CSV form.

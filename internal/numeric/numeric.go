@@ -117,21 +117,6 @@ func GeomTailCount(r, tol float64, maxTerms int) int {
 	return k
 }
 
-// Linspace returns n evenly spaced points from lo to hi inclusive.
-// n must be at least 2.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		panic("numeric: Linspace needs n >= 2")
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	out[n-1] = hi // avoid accumulated rounding at the endpoint
-	return out
-}
-
 // Clamp returns x limited to the interval [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {
@@ -168,11 +153,13 @@ func RelErr(got, want float64) float64 {
 // a garbage table. Test with errors.Is.
 var ErrDiverged = errors.New("numeric: state diverged to NaN or Inf")
 
-// AllFinite reports whether every element of xs is a usable number
-// (neither NaN nor ±Inf).
+// Finite reports whether x is a usable number (neither NaN nor ±Inf).
+func Finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// AllFinite reports whether every element of xs is Finite.
 func AllFinite(xs []float64) bool {
 	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
+		if !Finite(x) {
 			return false
 		}
 	}
@@ -186,34 +173,6 @@ var ErrNoBracket = errors.New("numeric: root is not bracketed")
 // ErrMaxIter is returned when an iterative routine fails to converge within
 // its iteration budget.
 var ErrMaxIter = errors.New("numeric: maximum iterations exceeded")
-
-// Bisect finds a root of f in [a, b] by bisection. f(a) and f(b) must have
-// opposite signs. The returned x satisfies |f(x)| small or |b−a| <= tol.
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return 0, ErrNoBracket
-	}
-	for i := 0; i < 200; i++ {
-		m := a + (b-a)/2
-		fm := f(m)
-		if fm == 0 || (b-a)/2 < tol {
-			return m, nil
-		}
-		if math.Signbit(fm) == math.Signbit(fa) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return a + (b-a)/2, ErrMaxIter
-}
 
 // Brent finds a root of f in [a, b] using Brent's method (inverse quadratic
 // interpolation with bisection fallback). f(a) and f(b) must have opposite

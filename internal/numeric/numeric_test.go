@@ -103,16 +103,6 @@ func TestGeomTailCount(t *testing.T) {
 	}
 }
 
-func TestLinspace(t *testing.T) {
-	xs := Linspace(0, 1, 5)
-	want := []float64{0, 0.25, 0.5, 0.75, 1}
-	for i := range want {
-		if math.Abs(xs[i]-want[i]) > 1e-15 {
-			t.Errorf("Linspace[%d] = %v, want %v", i, xs[i], want[i])
-		}
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Error("Clamp misbehaved")
@@ -125,29 +115,6 @@ func TestClose(t *testing.T) {
 	}
 	if Close(1.0, 1.1, 1e-3, 1e-3) {
 		t.Error("Close should reject large difference")
-	}
-}
-
-func TestBisect(t *testing.T) {
-	x, err := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x-math.Sqrt2) > 1e-10 {
-		t.Errorf("Bisect sqrt(2) = %v", x)
-	}
-}
-
-func TestBisectNoBracket(t *testing.T) {
-	if _, err := Bisect(func(x float64) float64 { return x*x + 1 }, -1, 1, 1e-12); err != ErrNoBracket {
-		t.Errorf("want ErrNoBracket, got %v", err)
-	}
-}
-
-func TestBisectEndpointRoot(t *testing.T) {
-	x, err := Bisect(func(x float64) float64 { return x }, 0, 1, 1e-12)
-	if err != nil || x != 0 {
-		t.Errorf("Bisect endpoint root: x=%v err=%v", x, err)
 	}
 }
 
@@ -187,17 +154,13 @@ func TestRelErr(t *testing.T) {
 	}
 }
 
-// Property: Brent and Bisect agree on random quadratics with a bracketed root.
+// Property: Brent agrees with the closed-form root on random quadratics
+// with a bracketed root.
 func TestRootFindersAgree(t *testing.T) {
 	f := func(c float64) bool {
 		c = math.Mod(math.Abs(c), 10) + 0.1 // root sqrt(c) in (0, ~3.2)
-		fn := func(x float64) float64 { return x*x - c }
-		b1, err1 := Bisect(fn, 0, 11, 1e-12)
-		b2, err2 := Brent(fn, 0, 11, 1e-12)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return math.Abs(b1-b2) < 1e-8 && math.Abs(b1-math.Sqrt(c)) < 1e-8
+		x, err := Brent(func(x float64) float64 { return x*x - c }, 0, 11, 1e-12)
+		return err == nil && math.Abs(x-math.Sqrt(c)) < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -1,7 +1,7 @@
 // Package ode implements explicit initial-value-problem integrators for the
 // autonomous systems of differential equations produced by the mean-field
-// work-stealing models: forward Euler and classic fourth-order Runge–Kutta,
-// stepped over a span under an optional observer, or run to steady state.
+// work-stealing models: classic fourth-order Runge–Kutta, stepped over a
+// span under an optional observer, or run to steady state.
 //
 // All systems in this repository are autonomous (the right-hand side does
 // not depend on t), which keeps the interface small: a System writes the
@@ -18,16 +18,6 @@ import (
 // Implementations must not retain or modify x, and must fill every element
 // of dx.
 type System func(x, dx []float64)
-
-// Euler advances x in place by one forward-Euler step of size h using the
-// provided scratch slice (len >= len(x)).
-func Euler(f System, x []float64, h float64, scratch []float64) {
-	dx := scratch[:len(x)]
-	f(x, dx)
-	for i := range x {
-		x[i] += h * dx[i]
-	}
-}
 
 // RK4Scratch holds the work arrays for classic RK4 steps so repeated calls
 // allocate nothing.

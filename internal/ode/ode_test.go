@@ -21,23 +21,6 @@ func harmonic(x, dx []float64) {
 	dx[1] = -x[0]
 }
 
-func TestEulerFirstOrder(t *testing.T) {
-	// Halving h should roughly halve the error (first-order convergence).
-	errAt := func(h float64) float64 {
-		x := []float64{1}
-		scratch := make([]float64, 1)
-		for i := 0; i < int(1/h+0.5); i++ {
-			Euler(decay, x, h, scratch)
-		}
-		return math.Abs(x[0] - math.Exp(-1))
-	}
-	e1, e2 := errAt(0.01), errAt(0.005)
-	ratio := e1 / e2
-	if ratio < 1.8 || ratio > 2.2 {
-		t.Errorf("Euler convergence ratio = %v, want ~2", ratio)
-	}
-}
-
 func TestRK4FourthOrder(t *testing.T) {
 	errAt := func(h float64) float64 {
 		x := []float64{1}

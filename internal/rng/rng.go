@@ -69,19 +69,13 @@ func (r *Source) Reseed(seed uint64) {
 }
 
 // DeriveSeed returns the seed of the independent stream i derived from
-// seed: New(DeriveSeed(seed, i)) and Derive(seed, i) are the same stream.
+// seed. New(DeriveSeed(seed, i)), or Reseed on a recycled Source, is the
+// supported way to give each replication or worker its own stream.
 func DeriveSeed(seed uint64, i int) uint64 {
 	x := seed ^ 0xd1342543de82ef95
 	_ = splitmix64(&x)
 	mix := splitmix64(&x) + uint64(i)*0x9e3779b97f4a7c15
 	return splitmix64(&mix) ^ seed
-}
-
-// Derive returns a new independent Source for stream i, deterministically
-// derived from seed. It is the supported way to give each replication or
-// worker its own stream.
-func Derive(seed uint64, i int) *Source {
-	return New(DeriveSeed(seed, i))
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -231,20 +225,6 @@ func (r *Source) Erlang(k int, rate float64) float64 {
 
 // Bernoulli returns true with probability p.
 func (r *Source) Bernoulli(p float64) bool { return r.Float64() < p }
-
-// IntnExcept returns a uniform integer in [0, n) excluding the value skip.
-// It panics if n <= 1. It is used to pick a random victim other than the
-// thief itself.
-func (r *Source) IntnExcept(n, skip int) int {
-	if n <= 1 {
-		panic("rng: IntnExcept needs n > 1")
-	}
-	v := r.Intn(n - 1)
-	if v >= skip {
-		v++
-	}
-	return v
-}
 
 // Shuffle permutes the first n integers via the provided swap function using
 // Fisher–Yates.

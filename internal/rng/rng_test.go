@@ -28,7 +28,7 @@ func TestSeedSeparation(t *testing.T) {
 }
 
 func TestDeriveIndependence(t *testing.T) {
-	a, b := Derive(7, 0), Derive(7, 1)
+	a, b := New(DeriveSeed(7, 0)), New(DeriveSeed(7, 1))
 	same := 0
 	for i := 0; i < 1000; i++ {
 		if a.Uint64() == b.Uint64() {
@@ -39,10 +39,10 @@ func TestDeriveIndependence(t *testing.T) {
 		t.Errorf("derived streams collided %d times", same)
 	}
 	// Derivation is deterministic.
-	c, d := Derive(7, 1), Derive(7, 1)
+	c, d := New(DeriveSeed(7, 1)), New(DeriveSeed(7, 1))
 	for i := 0; i < 100; i++ {
 		if c.Uint64() != d.Uint64() {
-			t.Fatal("Derive not deterministic")
+			t.Fatal("DeriveSeed not deterministic")
 		}
 	}
 }
@@ -98,28 +98,6 @@ func TestIntnPanics(t *testing.T) {
 		}
 	}()
 	New(1).Intn(0)
-}
-
-func TestIntnExcept(t *testing.T) {
-	r := New(9)
-	const n, skip, draws = 8, 3, 200000
-	counts := make([]int, n)
-	for i := 0; i < draws; i++ {
-		v := r.IntnExcept(n, skip)
-		if v == skip {
-			t.Fatal("IntnExcept returned the excluded value")
-		}
-		counts[v]++
-	}
-	want := float64(draws) / (n - 1)
-	for i, c := range counts {
-		if i == skip {
-			continue
-		}
-		if math.Abs(float64(c)-want)/want > 0.05 {
-			t.Errorf("IntnExcept bucket %d count %d deviates from %v", i, c, want)
-		}
-	}
 }
 
 func TestExpMoments(t *testing.T) {

@@ -12,7 +12,7 @@
 // worker count rather than with cells × replications.
 //
 // Determinism: replication i of a cell always runs on the random stream
-// rng.Derive(Seed, i) and lands in slot i of the cell's result slice, so
+// rng.DeriveSeed(Seed, i) and lands in slot i of the cell's result slice, so
 // aggregates are bit-identical for every worker count and any interleaving
 // of cells — the scheduler changes wall-clock time, never numbers.
 //
@@ -30,7 +30,7 @@
 // Cell.Fulfill. Each replication slot moves through a small atomic state
 // machine (pending → running|leased → done), so local workers and thieves
 // race with a single CAS as the arbiter and a slot is only ever executed by
-// one side. Because replication i always runs on rng.Derive(Seed, i), a
+// one side. Because replication i always runs on rng.DeriveSeed(Seed, i), a
 // stolen replication returns the byte-identical Result the local worker
 // would have produced — stealing changes wall-clock time, never numbers.
 // A lease that goes quiet (partitioned or crashed thief) is revoked with
@@ -197,7 +197,7 @@ type Cell struct {
 }
 
 // Sim validates o and enqueues reps replications of it as independent work
-// items. Replication i runs on the stream rng.Derive(o.Seed, i), exactly as
+// items. Replication i runs on the stream rng.DeriveSeed(o.Seed, i), exactly as
 // sim.Replication would run it.
 func (p *Pool) Sim(o sim.Options, reps int) (*Cell, error) {
 	if err := (sim.Replication{Reps: reps}).Validate(&o); err != nil {
@@ -256,7 +256,7 @@ func (c *Cell) resolve() {
 
 // Lease claims up to max still-pending replications for a remote thief and
 // returns a lease id plus the claimed indices (0, nil when nothing is
-// claimable). The thief must run each index as rng.Derive(Seed, index) —
+// claimable). The thief must run each index as rng.DeriveSeed(Seed, index) —
 // i.e. sim.Runner.RunRep(opts, index) on its own copy of the spec — and
 // hand results back with Fulfill. The cell keeps no timer: whoever granted
 // the lease owns its deadline and must Reclaim it if the thief goes quiet.

@@ -91,9 +91,6 @@ var ErrNotConverged = errors.New("solver: fixed point iteration did not converge
 // so callers can test one sentinel across the solver and ODE layers.
 var ErrDiverged = fmt.Errorf("solver: fixed point iteration diverged: %w", numeric.ErrDiverged)
 
-// finiteRes reports whether a residual is a usable (finite) number.
-func finiteRes(r float64) bool { return !math.IsNaN(r) && !math.IsInf(r, 0) }
-
 // FixedPoint solves f(x) = 0 starting from x0 using Anderson-accelerated
 // Picard iteration on the RK4 flow map. x0 is not modified.
 func FixedPoint(f ode.System, x0 []float64, opt Options) (Result, error) {
@@ -142,7 +139,7 @@ func FixedPoint(f ode.System, x0 []float64, opt Options) (Result, error) {
 	// fall back to: every restart below would land on the same poisoned
 	// state, so report divergence immediately rather than spinning the full
 	// iteration budget.
-	if !finiteRes(bestRes) {
+	if !numeric.Finite(bestRes) {
 		return Result{X: best, Residual: bestRes, Iters: 0, Converged: false},
 			fmt.Errorf("%w: starting residual %v", ErrDiverged, bestRes)
 	}

@@ -1,7 +1,6 @@
 // Package stats provides the statistical accumulators used by the simulator
-// and the experiment harness: streaming mean/variance (Welford), time-
-// weighted averages for queue-length processes, confidence intervals over
-// replications, and fixed-width histograms.
+// and the experiment harness: streaming mean/variance (Welford), confidence
+// intervals over replications, and fixed-width histograms.
 package stats
 
 import (
@@ -51,66 +50,6 @@ func (w *Welford) StdErr() float64 {
 	}
 	return w.Std() / math.Sqrt(float64(w.n))
 }
-
-// Merge combines another accumulator into w (Chan et al. parallel variant),
-// so per-worker accumulators can be reduced after a parallel run.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n1, n2 := float64(w.n), float64(o.n)
-	delta := o.mean - w.mean
-	total := n1 + n2
-	w.mean += delta * n2 / total
-	w.m2 += o.m2 + delta*delta*n1*n2/total
-	w.n += o.n
-}
-
-// TimeWeighted accumulates the time average of a piecewise-constant process,
-// e.g. total queue length over time. Call Observe(t, v) whenever the value
-// changes to v at time t; the average over [t0, tEnd] is Average(tEnd).
-type TimeWeighted struct {
-	started  bool
-	t0       float64 // first observation time
-	lastT    float64
-	lastV    float64
-	integral float64
-}
-
-// Observe records that the process takes value v from time t onward.
-// Times must be non-decreasing.
-func (tw *TimeWeighted) Observe(t, v float64) {
-	if !tw.started {
-		tw.started = true
-		tw.t0, tw.lastT, tw.lastV = t, t, v
-		return
-	}
-	if t < tw.lastT {
-		panic("stats: TimeWeighted times must be non-decreasing")
-	}
-	tw.integral += tw.lastV * (t - tw.lastT)
-	tw.lastT, tw.lastV = t, v
-}
-
-// Average returns the time average over [t0, tEnd]. tEnd must be at least
-// the last observed time. Returns 0 before any observation.
-func (tw *TimeWeighted) Average(tEnd float64) float64 {
-	if !tw.started || tEnd <= tw.t0 {
-		return 0
-	}
-	if tEnd < tw.lastT {
-		panic("stats: Average called with tEnd before last observation")
-	}
-	total := tw.integral + tw.lastV*(tEnd-tw.lastT)
-	return total / (tEnd - tw.t0)
-}
-
-// Reset clears the accumulator.
-func (tw *TimeWeighted) Reset() { *tw = TimeWeighted{} }
 
 // Summary holds the aggregate of several replication means.
 type Summary struct {
@@ -377,29 +316,4 @@ func Median(xs []float64) float64 {
 		return cp[n/2]
 	}
 	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
-// BatchMeans estimates a confidence interval for the mean of a correlated
-// sample stream (e.g. sojourn times within one simulation run) by the
-// method of batch means: the stream is split into `batches` contiguous
-// batches whose means are approximately independent, and those batch means
-// are summarized like replications. Needs len(xs) >= 2*batches; panics on
-// fewer than 2 batches.
-func BatchMeans(xs []float64, batches int) Summary {
-	if batches < 2 {
-		panic("stats: BatchMeans needs at least 2 batches")
-	}
-	if len(xs) < 2*batches {
-		return Summary{N: 0}
-	}
-	size := len(xs) / batches
-	means := make([]float64, 0, batches)
-	for b := 0; b < batches; b++ {
-		var w Welford
-		for i := b * size; i < (b+1)*size; i++ {
-			w.Add(xs[i])
-		}
-		means = append(means, w.Mean())
-	}
-	return Summarize(means)
 }

@@ -36,79 +36,6 @@ func TestWelfordEmpty(t *testing.T) {
 	}
 }
 
-func TestWelfordMerge(t *testing.T) {
-	r := rng.New(7)
-	var all, a, b Welford
-	for i := 0; i < 10000; i++ {
-		x := r.Exp(1)
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-10 {
-		t.Errorf("merged mean %v != sequential %v", a.Mean(), all.Mean())
-	}
-	if math.Abs(a.Var()-all.Var()) > 1e-9 {
-		t.Errorf("merged var %v != sequential %v", a.Var(), all.Var())
-	}
-}
-
-func TestWelfordMergeEmptyCases(t *testing.T) {
-	var a, b Welford
-	b.Add(2)
-	b.Add(4)
-	a.Merge(b) // merge into empty
-	if a.Mean() != 3 || a.N() != 2 {
-		t.Error("merge into empty failed")
-	}
-	var c Welford
-	a.Merge(c) // merge empty into non-empty
-	if a.Mean() != 3 || a.N() != 2 {
-		t.Error("merge of empty changed state")
-	}
-}
-
-func TestTimeWeighted(t *testing.T) {
-	var tw TimeWeighted
-	tw.Observe(0, 1) // value 1 on [0, 2)
-	tw.Observe(2, 3) // value 3 on [2, 4)
-	tw.Observe(4, 0) // value 0 on [4, 10)
-	got := tw.Average(10)
-	want := (1*2.0 + 3*2.0 + 0*6.0) / 10.0
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("Average = %v, want %v", got, want)
-	}
-}
-
-func TestTimeWeightedPartial(t *testing.T) {
-	var tw TimeWeighted
-	if tw.Average(5) != 0 {
-		t.Error("Average before observations should be 0")
-	}
-	tw.Observe(1, 2)
-	if got := tw.Average(3); math.Abs(got-2) > 1e-12 {
-		t.Errorf("constant process average = %v, want 2", got)
-	}
-}
-
-func TestTimeWeightedPanicsOnBackwardTime(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on decreasing time")
-		}
-	}()
-	var tw TimeWeighted
-	tw.Observe(5, 1)
-	tw.Observe(4, 1)
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5})
 	if s.N != 5 || math.Abs(s.Mean-3) > 1e-12 {
@@ -229,82 +156,6 @@ func TestWelfordMatchesNaive(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
-}
-
-// Property: merging in any split position gives the same result.
-func TestWelfordMergeAssociativity(t *testing.T) {
-	f := func(seed uint64, splitRaw uint8) bool {
-		r := rng.New(seed)
-		xs := make([]float64, 50)
-		for i := range xs {
-			xs[i] = r.Float64() * 10
-		}
-		split := int(splitRaw) % 50
-		var whole, left, right Welford
-		for i, x := range xs {
-			whole.Add(x)
-			if i < split {
-				left.Add(x)
-			} else {
-				right.Add(x)
-			}
-		}
-		left.Merge(right)
-		return math.Abs(left.Mean()-whole.Mean()) < 1e-10 &&
-			math.Abs(left.Var()-whole.Var()) < 1e-10
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBatchMeansIID(t *testing.T) {
-	// For i.i.d. data the batch-means CI should cover the true mean.
-	r := rng.New(8)
-	xs := make([]float64, 20000)
-	for i := range xs {
-		xs[i] = r.Exp(1) // mean 1
-	}
-	s := BatchMeans(xs, 20)
-	if s.N != 20 {
-		t.Fatalf("batches = %d", s.N)
-	}
-	if math.Abs(s.Mean-1) > 3*s.Half+0.05 {
-		t.Errorf("batch mean %v ± %v misses true mean 1", s.Mean, s.Half)
-	}
-}
-
-func TestBatchMeansWidensForCorrelatedData(t *testing.T) {
-	// An AR(1)-like positively correlated stream: batch means must widen
-	// the CI relative to treating samples as independent.
-	r := rng.New(9)
-	xs := make([]float64, 40000)
-	v := 0.0
-	for i := range xs {
-		v = 0.95*v + r.Exp(1) - 1 // zero-mean AR(1)
-		xs[i] = v
-	}
-	bm := BatchMeans(xs, 20)
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	naiveHalf := 1.96 * w.StdErr()
-	if bm.Half <= naiveHalf {
-		t.Errorf("batch-means CI (%v) should exceed naive i.i.d. CI (%v) for correlated data", bm.Half, naiveHalf)
-	}
-}
-
-func TestBatchMeansEdges(t *testing.T) {
-	if s := BatchMeans([]float64{1, 2, 3}, 2); s.N != 0 {
-		t.Errorf("too-short input should yield empty summary, got %+v", s)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for batches < 2")
-		}
-	}()
-	BatchMeans(make([]float64, 100), 1)
 }
 
 func TestSummaryContains(t *testing.T) {

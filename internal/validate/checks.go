@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/meanfield"
+	"repro/internal/numeric"
 	"repro/internal/ode"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -155,7 +156,7 @@ func odeLimit(vr *VariantReport, m core.Model, fp core.FixedPoint) float64 {
 	dist := math.Inf(1)
 	tStar := ode.SolveObserved(m.Derivs, x, odeMaxSpan, 0.5/rate, func(t float64, x []float64) bool {
 		m.Project(x)
-		dist = distInf(x, fp.State)
+		dist = numeric.DistInf(x, fp.State)
 		return dist > TolODE
 	})
 	c := scalar("ode-limit", fmt.Sprintf("‖x(t) − x*‖∞ within t ≤ %g", odeMaxSpan),
@@ -365,15 +366,4 @@ func tost(name, detail string, s stats.Summary, target, margin float64) Check {
 		c.Status = Pass
 	}
 	return c
-}
-
-// distInf returns the ∞-norm distance between equal-length vectors.
-func distInf(a, b []float64) float64 {
-	d := 0.0
-	for i := range a {
-		if v := math.Abs(a[i] - b[i]); v > d {
-			d = v
-		}
-	}
-	return d
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/meanfield"
+	"repro/internal/numeric"
 	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -101,7 +101,7 @@ func enqueueCluster(cfg Config, _ *sched.Pool) func(vr *VariantReport) {
 		// against the closed-form prediction λ − π₂.
 		want := clusterLambda - meanfield.SolveSimpleWS(clusterLambda).Pi2
 		s := out.report.Metrics.StealAttemptRate
-		if s.N < 2 || !isFinite(s.Mean) || s.Mean <= 0 {
+		if s.N < 2 || !numeric.Finite(s.Mean) || s.Mean <= 0 {
 			vr.add(Check{Name: "cluster-steal-rate", Status: Fail,
 				Detail: fmt.Sprintf("measured attempt rate unusable: mean=%v over %d reps", s.Mean, s.N)})
 			return
@@ -117,8 +117,6 @@ func enqueueCluster(cfg Config, _ *sched.Pool) func(vr *VariantReport) {
 		vr.add(c)
 	}
 }
-
-func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // replica is one in-process wsserved instance of the family's cluster.
 type replica struct {
