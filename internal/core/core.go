@@ -82,16 +82,19 @@ type Observer interface {
 }
 
 // StealCoupler is an optional Model interface for models whose state the
-// hybrid engine can couple a tracked DES sample against even though the
-// state is not a single task-indexed tail vector (e.g. the phase-type
-// service model, whose state is occupancy by task count and service phase).
-// It exposes the three quantities the Kurtz coupling reads off the fluid
-// bulk: the task tails s_i (steal success probability and bulk victim-load
-// sampling), the queue-emptying completion rate (the bulk steal-attempt
-// rate), and a constant bound on it (the probe process's thinning bound).
+// hybrid engine can couple a tracked DES sample against, and whose task
+// tails the fluid engine reports. It is the one answer to "what tail vector
+// does this state imply": the identity for a tail-vector state, a
+// suffix-sum for the phase-type service model, whose state is occupancy by
+// task count and service phase. It exposes the three quantities the Kurtz
+// coupling reads off the fluid bulk: the task tails s_i (steal success
+// probability and bulk victim-load sampling), the queue-emptying completion
+// rate (the bulk steal-attempt rate), and a constant bound on it (the probe
+// process's thinning bound).
 //
-// Tails-first models get this interface for free via an adapter in package
-// sim; implementing it directly is only necessary for other state layouts.
+// Every model whose state is one task-indexed tail vector implements it
+// through package meanfield's shared tails base; other state layouts
+// implement it themselves.
 type StealCoupler interface {
 	// TaskTails appends the task-indexed tail vector implied by state x to
 	// out[:0] and returns it: result[i] = fraction of processors with at
@@ -106,21 +109,24 @@ type StealCoupler interface {
 	EmptyingRateBound() float64
 }
 
-// BusyFraction returns the busy fraction at the fixed point: s₁ for
-// tails-first models, or the model's own accounting when it implements
-// Observer. At a stable fixed point this equals λ.
-func (fp FixedPoint) BusyFraction() float64 {
-	if o, ok := fp.Model.(Observer); ok {
-		return o.BusyFraction(fp.State)
+// BusyFraction returns the fraction of busy processors at state x of m:
+// the model's own accounting when it implements Observer, s₁ otherwise.
+func BusyFraction(m Model, x []float64) float64 {
+	if o, ok := m.(Observer); ok {
+		return o.BusyFraction(x)
 	}
-	if len(fp.State) > 1 {
-		return fp.State[1]
+	if len(x) > 1 {
+		return x[1]
 	}
 	return 0
 }
 
+// BusyFraction returns the busy fraction at the fixed point. At a stable
+// fixed point this equals λ.
+func (fp FixedPoint) BusyFraction() float64 { return BusyFraction(fp.Model, fp.State) }
+
 // StealSuccessProb returns the steal success probability at the fixed
-// point for victim threshold t (the tail s_t for tails-first models),
+// point for victim threshold t (the tail s_t for tail-vector models),
 // deferring to Observer models that track it differently; ok is false
 // when the quantity is undefined (t out of range, or a model without it).
 func (fp FixedPoint) StealSuccessProb(t int) (float64, bool) {

@@ -106,6 +106,27 @@ func (m tails) WarmStart() []float64 {
 	return m.start(m)
 }
 
+// TaskTails copies the state, which already is the tail vector
+// (core.StealCoupler).
+func (m tails) TaskTails(x, out []float64) []float64 { return append(out[:0], x...) }
+
+// EmptyingRate returns s₁ − s₂, the rate of unit-rate exponential
+// completions that leave a queue empty (core.StealCoupler). It is the raw
+// difference: the hybrid engine clamps the attempt rate once, itself.
+func (m tails) EmptyingRate(x []float64) float64 {
+	var s1, s2 float64
+	if len(x) > 1 {
+		s1 = x[1]
+	}
+	if len(x) > 2 {
+		s2 = x[2]
+	}
+	return s1 - s2
+}
+
+// EmptyingRateBound returns 1, the unit service rate (core.StealCoupler).
+func (m tails) EmptyingRateBound() float64 { return 1 }
+
 // geometricStart is the no-stealing equilibrium π_i = λ^i, an upper bound
 // on every stealing equilibrium.
 func geometricStart(m tails) []float64 { return core.GeometricTails(m.lambda, m.dim) }

@@ -29,14 +29,12 @@ import (
 const fluidStep = 0.02
 
 // fluidModel maps Options onto the mean-field model it is the finite-n
-// version of. tailsFirst reports whether the model state is a single
-// task-indexed tail vector (s₀, s₁, ...), which is what Result.Tails and
-// the hybrid engine's coupling read. Unsupported combinations — anything
-// without a mean-field counterpart in internal/meanfield — get a
-// descriptive error naming the engine.
-func fluidModel(o *Options) (m core.Model, tailsFirst bool, err error) {
-	bad := func(format string, args ...any) (core.Model, bool, error) {
-		return nil, false, fmt.Errorf("sim: %s engine: %s", o.Engine, fmt.Sprintf(format, args...))
+// version of. Unsupported combinations — anything without a mean-field
+// counterpart in internal/meanfield — get a descriptive error naming the
+// engine.
+func fluidModel(o *Options) (core.Model, error) {
+	bad := func(format string, args ...any) (core.Model, error) {
+		return nil, fmt.Errorf("sim: %s engine: %s", o.Engine, fmt.Sprintf(format, args...))
 	}
 	if o.Classes != nil {
 		return bad("heterogeneous classes are not supported")
@@ -59,7 +57,7 @@ func fluidModel(o *Options) (m core.Model, tailsFirst bool, err error) {
 	lam := o.Lambda
 	switch o.Policy {
 	case PolicyNone:
-		return meanfield.NewNoSteal(lam), true, nil
+		return meanfield.NewNoSteal(lam), nil
 	case PolicyRebalance:
 		return bad("pairwise rebalancing is not supported")
 	case PolicySteal:
@@ -69,45 +67,45 @@ func fluidModel(o *Options) (m core.Model, tailsFirst bool, err error) {
 		if o.B != 0 || o.D != 1 {
 			return bad("transfer delays combine only with B = 0, D = 1")
 		}
-		return meanfield.NewRepeatedTransfer(lam, o.T, o.RetryRate, o.TransferRate), false, nil
+		return meanfield.NewRepeatedTransfer(lam, o.T, o.RetryRate, o.TransferRate), nil
 	}
 	if o.B > 0 {
 		if o.D != 1 || o.K != 1 || o.Half || o.RetryRate > 0 {
 			return bad("preemptive stealing (B > 0) combines only with D = 1, K = 1 single steals")
 		}
-		return meanfield.NewPreemptive(lam, o.B, o.T), true, nil
+		return meanfield.NewPreemptive(lam, o.B, o.T), nil
 	}
 	if o.D > 1 {
 		if o.K != 1 || o.Half || o.RetryRate > 0 {
 			return bad("victim choices (D > 1) combine only with K = 1 single steals")
 		}
-		return meanfield.NewChoices(lam, o.T, o.D), true, nil
+		return meanfield.NewChoices(lam, o.T, o.D), nil
 	}
 	if o.K > 1 {
 		if o.RetryRate > 0 {
 			return bad("multi-steal (K > 1) does not combine with retries")
 		}
-		return meanfield.NewMultiSteal(lam, o.T, o.K), true, nil
+		return meanfield.NewMultiSteal(lam, o.T, o.K), nil
 	}
 	if o.Half {
 		if o.RetryRate > 0 {
 			return bad("steal-half does not combine with retries")
 		}
-		return meanfield.NewStealHalf(lam, o.T), true, nil
+		return meanfield.NewStealHalf(lam, o.T), nil
 	}
-	return meanfield.NewRepeated(lam, o.T, o.RetryRate), true, nil
+	return meanfield.NewRepeated(lam, o.T, o.RetryRate), nil
 }
 
 // phaseFluidModel maps non-exponential service onto the generalized
 // phase-type mean-field model. Its state is occupancy by (task count, head
-// phase) rather than a tail vector, so tailsFirst is false and downstream
-// consumers read tails through core.StealCoupler. The phase-service ODEs
+// phase) rather than a tail vector; downstream consumers read tails
+// through core.StealCoupler. The phase-service ODEs
 // cover no stealing and basic threshold stealing (B = 0, D = 1, K = 1,
 // instantaneous transfer, optional retries); richer variants have no
 // phase-type mean-field counterpart yet.
-func phaseFluidModel(o *Options) (core.Model, bool, error) {
-	bad := func(format string, args ...any) (core.Model, bool, error) {
-		return nil, false, fmt.Errorf("sim: %s engine: %s", o.Engine, fmt.Sprintf(format, args...))
+func phaseFluidModel(o *Options) (core.Model, error) {
+	bad := func(format string, args ...any) (core.Model, error) {
+		return nil, fmt.Errorf("sim: %s engine: %s", o.Engine, fmt.Sprintf(format, args...))
 	}
 	ph, ok := dist.AsPhaseType(o.Service)
 	if !ok {
@@ -120,23 +118,12 @@ func phaseFluidModel(o *Options) (core.Model, bool, error) {
 	case PolicyRebalance:
 		return bad("pairwise rebalancing is not supported")
 	case PolicyNone:
-		return meanfield.NewPhaseService(o.Lambda, ph, 0, 0), false, nil
+		return meanfield.NewPhaseService(o.Lambda, ph, 0, 0), nil
 	}
 	if o.TransferRate > 0 || o.B != 0 || o.D != 1 || o.K != 1 || o.Half {
 		return bad("non-exponential service combines only with basic threshold stealing (B = 0, D = 1, K = 1, no transfer delays)")
 	}
-	return meanfield.NewPhaseService(o.Lambda, ph, o.T, o.RetryRate), false, nil
-}
-
-// busyFraction reads the fraction of busy processors off a model state.
-func busyFraction(m core.Model, tailsFirst bool, x []float64) float64 {
-	if obs, ok := m.(core.Observer); ok {
-		return obs.BusyFraction(x)
-	}
-	if tailsFirst && len(x) > 1 {
-		return x[1]
-	}
-	return 0
+	return meanfield.NewPhaseService(o.Lambda, ph, o.T, o.RetryRate), nil
 }
 
 // fluidEngine integrates the mean-field ODEs (backend interface).
@@ -158,7 +145,7 @@ func (f *fluidEngine) result() Result { return f.res }
 // run integrates the trajectory and accumulates the windowed averages.
 func (f *fluidEngine) run() {
 	o := &f.o
-	m, tailsFirst, err := fluidModel(o)
+	m, err := fluidModel(o)
 	if err != nil {
 		// Options.Validate runs fluidModel before a backend is built, so
 		// an error here means a caller bypassed validation.
@@ -170,7 +157,7 @@ func (f *fluidEngine) run() {
 
 	coupler, hasCoupler := m.(core.StealCoupler)
 	tailDepth := o.TailDepth
-	if !tailsFirst && !hasCoupler {
+	if !hasCoupler {
 		tailDepth = 0 // the state does not imply a task-indexed tail vector
 	}
 	var (
@@ -203,16 +190,12 @@ func (f *fluidEngine) run() {
 		if w := math.Min(t+h, o.Horizon) - math.Max(t, o.Warmup); w > 0 {
 			span += w
 			loadInt += m.MeanTasks(x) * w
-			busyInt += busyFraction(m, tailsFirst, x) * w
+			busyInt += core.BusyFraction(m, x) * w
 			if tailInt != nil {
-				src := x
-				if !tailsFirst {
-					tailBuf = coupler.TaskTails(x, tailBuf)
-					src = tailBuf
-				}
+				tailBuf = coupler.TaskTails(x, tailBuf)
 				for i := range tailInt {
-					if i < len(src) {
-						tailInt[i] += src[i] * w
+					if i < len(tailBuf) {
+						tailInt[i] += tailBuf[i] * w
 					}
 				}
 			}

@@ -38,7 +38,7 @@ package sim
 // threshold stealing (K = 1) under any phase-type service; homogeneous
 // processors. All bulk reads — s_i, the attempt rate α(t), and victim-load
 // sampling — go through a tail snapshot refreshed at each fluid tick, so
-// tails-first models behave exactly as if the state were read directly.
+// tail-vector models behave exactly as if the state were read directly.
 
 import (
 	"fmt"
@@ -79,40 +79,15 @@ func (o *Options) validateHybrid() error {
 			return bad("transfer delays are not supported")
 		}
 	}
-	m, tailsFirst, err := fluidModel(o)
+	m, err := fluidModel(o)
 	if err != nil {
 		return err
 	}
-	if _, ok := m.(core.StealCoupler); !ok && !tailsFirst {
+	if _, ok := m.(core.StealCoupler); !ok {
 		return bad("model %s does not expose task-indexed tails", m.Name())
 	}
 	return nil
 }
-
-// tailsCoupler adapts a tails-first model state to core.StealCoupler: the
-// state already is the tail vector, completions that empty a queue happen at
-// rate s₁ − s₂ (unit-rate exponential service), bounded by 1. EmptyingRate
-// deliberately returns the raw difference — the α(t) clamp happens once, in
-// alpha() — so the coupled arithmetic is bit-identical to reading the state
-// directly.
-type tailsCoupler struct{}
-
-func (tailsCoupler) TaskTails(x, out []float64) []float64 {
-	return append(out[:0], x...)
-}
-
-func (tailsCoupler) EmptyingRate(x []float64) float64 {
-	var s1, s2 float64
-	if len(x) > 1 {
-		s1 = x[1]
-	}
-	if len(x) > 2 {
-		s2 = x[2]
-	}
-	return s1 - s2
-}
-
-func (tailsCoupler) EmptyingRateBound() float64 { return 1 }
 
 // hybridEngine is the tracked-sample-plus-fluid backend: the shared
 // processor core over the Tracked sample, plus the Kurtz coupling to the
@@ -123,7 +98,7 @@ type hybridEngine struct {
 	// Fluid bulk. bulkTails and bulkTheta are snapshots of the coupler's
 	// tail vector and queue-emptying rate, refreshed after every fluid tick
 	// (the state is piecewise constant in between, so snapshotting changes
-	// nothing for tails-first models and saves phase-type models a
+	// nothing for tail-vector models and saves phase-type models a
 	// suffix-sum per coupling event).
 	model     core.Model
 	coupler   core.StealCoupler
@@ -143,16 +118,12 @@ type hybridEngine struct {
 func (h *hybridEngine) init(o Options, stream *rng.Source) {
 	h.reset(o, stream, o.Tracked)
 
-	m, _, err := fluidModel(&o)
+	m, err := fluidModel(&o)
 	if err != nil {
 		panic(err) // Options.Validate gates every caller
 	}
 	h.model = m
-	if c, ok := m.(core.StealCoupler); ok {
-		h.coupler = c
-	} else {
-		h.coupler = tailsCoupler{}
-	}
+	h.coupler = m.(core.StealCoupler)
 	h.x = m.Initial()
 	h.scratch = ode.NewRK4Scratch(m.Dim())
 	h.refreshBulk()

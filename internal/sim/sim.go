@@ -320,7 +320,7 @@ func (o *Options) validateEngine() error {
 		if o.Tracked != 0 {
 			return fmt.Errorf("sim: Tracked applies only to the hybrid engine (engine %q, tracked %d)", o.Engine, o.Tracked)
 		}
-		if _, _, err := fluidModel(o); err != nil {
+		if _, err := fluidModel(o); err != nil {
 			return err
 		}
 	case EngineHybrid:
