@@ -253,19 +253,11 @@ func TestSimSpecBatchOptions(t *testing.T) {
 	}
 }
 
-// TestSimSpecWorkload covers the workload threading: the legacy top-level
-// stage count folds into the service spec, parameter-free poisson arrivals
-// collapse to the implied default, workload failures carry ErrWorkloadSpec,
-// and a custom arrival process reaches the simulator and the report.
+// TestSimSpecWorkload covers the workload threading: parameter-free
+// poisson arrivals collapse to the implied default, workload failures
+// carry ErrWorkloadSpec, and a custom arrival process reaches the
+// simulator and the report.
 func TestSimSpecWorkload(t *testing.T) {
-	legacy := SimSpec{N: 16, Lambda: 0.8, Service: workload.ServiceSpec{Dist: "erlang"}, Stages: 4}
-	object := SimSpec{N: 16, Lambda: 0.8, Service: workload.ServiceSpec{Dist: "erlang", Stages: 4}}
-	legacy.Normalize()
-	object.Normalize()
-	if legacy.Stages != 0 || legacy.Service != object.Service {
-		t.Errorf("legacy stages did not fold: %+v vs %+v", legacy.Service, object.Service)
-	}
-
 	p := SimSpec{N: 16, Lambda: 0.8, Arrivals: &workload.ArrivalSpec{Kind: "poisson"}}
 	p.Normalize()
 	if p.Arrivals != nil {

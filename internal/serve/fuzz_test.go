@@ -150,7 +150,7 @@ var simSeeds = []string{
 	`{"n":16,"lambda":0.8,"horizon":1200,"warmup":100,"reps":2,"seed":7}`,
 	`{"seed":7,"reps":2,"warmup":100,"horizon":1200,"lambda":0.8,"n":16}`,
 	`{"n":64,"lambda":0.9,"policy":"choices","d":2}`,
-	`{"n":32,"lambda":0.7,"service":"erlang","stages":5,"qhist":true}`,
+	`{"n":32,"lambda":0.7,"service":{"dist":"erlang","stages":5},"qhist":true}`,
 	`{"n":16,"lambda":0.8,"deadline_sec":0.5}`,
 	`{"n":16,"lambda":-0.8}`,
 	`{"n":100000,"lambda":0.8}`,
@@ -231,11 +231,11 @@ func TestCanonicalKeyFieldOrder(t *testing.T) {
 			`{"engine":"hybrid","n":100000,"lambda":0.9,"t":2,"horizon":400,"reps":1,"seed":7,"tracked":256}`,
 		}},
 		{"simulate-erlang-spellings", simKey, []string{
-			// The legacy top-level stage count and the object form are the
-			// same workload; both spellings must share one cache entry.
-			`{"n":32,"lambda":0.7,"service":"erlang","stages":4,"horizon":900,"reps":1,"seed":7}`,
-			`{"n":32,"lambda":0.7,"service":{"dist":"erlang","stages":4},"horizon":900,"reps":1,"seed":7}`,
-			`{"stages":4,"service":"erlang","seed":7,"reps":1,"horizon":900,"lambda":0.7,"n":32}`,
+			// The plain name is the object form at the default stage
+			// count; every spelling must share one cache entry.
+			`{"n":32,"lambda":0.7,"service":"erlang","horizon":900,"reps":1,"seed":7}`,
+			`{"n":32,"lambda":0.7,"service":{"dist":"erlang","stages":10},"horizon":900,"reps":1,"seed":7}`,
+			`{"service":{"stages":10,"dist":"erlang"},"seed":7,"reps":1,"horizon":900,"lambda":0.7,"n":32}`,
 		}},
 		{"simulate-workload-defaults", simKey, []string{
 			`{"n":32,"lambda":0.7,"service":"h2","horizon":900}`,

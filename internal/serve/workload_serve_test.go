@@ -57,6 +57,21 @@ func TestSimulateWorkloadErrors(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsTopLevelStages pins that the Erlang stage count lives
+// only inside the service object: a top-level "stages" key is an unknown
+// field, a plain 400 bad_request.
+func TestSimulateRejectsTopLevelStages(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, rb := post(t, ts, "/v1/simulate", `{"n":32,"lambda":0.7,"service":"erlang","stages":4,"horizon":100,"reps":1}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, rb)
+	}
+	var e struct{ Code, Error string }
+	if err := json.Unmarshal(rb, &e); err != nil || e.Code != "bad_request" || !strings.Contains(e.Error, `unknown field "stages"`) {
+		t.Errorf("body %s (err %v), want code bad_request naming the unknown field \"stages\"", rb, err)
+	}
+}
+
 // TestSimulateWorkloadEndToEnd runs a bursty non-exponential cell through
 // the full serving path: H2 service with MMPP arrivals on the DES engine.
 // The report must echo the built models' descriptions, and the two JSON
