@@ -32,34 +32,25 @@ func main() {
 // run returns the process exit code instead of calling os.Exit so that
 // deferred cleanups always execute and tests can drive it directly.
 func run() int {
-	model := flag.String("model", "simple", "model: nosteal, simple, threshold, preemptive, repeated, choices, multisteal, stages, transfer, rebalance, stealhalf, spawning, repeated-transfer")
-	lambda := flag.Float64("lambda", 0.9, "arrival rate λ in (0,1)")
-	tFlag := flag.Int("T", 2, "victim threshold")
-	bFlag := flag.Int("B", 0, "preemptive steal-begin level")
-	dFlag := flag.Int("d", 2, "victim choices")
-	kFlag := flag.Int("k", 2, "tasks per steal")
-	cFlag := flag.Int("c", 10, "Erlang stages per task")
-	rFlag := flag.Float64("r", 1, "rate parameter (retry, transfer, or rebalance rate)")
-	raFlag := flag.Float64("ra", 1, "retry rate for -model repeated-transfer")
-	liFlag := flag.Float64("li", 0.3, "internal spawn rate for -model spawning")
-	tails := flag.Int("tails", 12, "how many tail entries to print")
+	// The flags fill the spec directly; their defaults are the spec's own,
+	// except λ, which the spec leaves to the caller.
+	var spec, def experiments.FixedPointSpec
+	def.Normalize()
+	flag.StringVar(&spec.Model, "model", def.Model, "model: nosteal, simple, threshold, preemptive, repeated, choices, multisteal, stages, transfer, rebalance, stealhalf, spawning, repeated-transfer")
+	flag.Float64Var(&spec.Lambda, "lambda", 0.9, "arrival rate λ in (0,1)")
+	flag.IntVar(&spec.T, "T", def.T, "victim threshold")
+	flag.IntVar(&spec.B, "B", def.B, "preemptive steal-begin level")
+	flag.IntVar(&spec.D, "d", def.D, "victim choices")
+	flag.IntVar(&spec.K, "k", def.K, "tasks per steal")
+	flag.IntVar(&spec.C, "c", def.C, "Erlang stages per task")
+	flag.Float64Var(&spec.R, "r", def.R, "rate parameter (retry, transfer, or rebalance rate)")
+	flag.Float64Var(&spec.RA, "ra", def.RA, "retry rate for -model repeated-transfer")
+	flag.Float64Var(&spec.LI, "li", def.LI, "internal spawn rate for -model spawning")
+	flag.IntVar(&spec.Tails, "tails", def.Tails, "how many tail entries to print")
 	metricsFlag := flag.Bool("metrics", false, "print the fixed point's observable metrics (utilization, idle fraction, steal success s_T)")
 	jsonFlag := flag.Bool("json", false, "emit the fixed point as JSON")
 	flag.Parse()
 
-	spec := experiments.FixedPointSpec{
-		Model:  *model,
-		Lambda: *lambda,
-		T:      *tFlag,
-		B:      *bFlag,
-		D:      *dFlag,
-		K:      *kFlag,
-		C:      *cFlag,
-		R:      *rFlag,
-		RA:     *raFlag,
-		LI:     *liFlag,
-		Tails:  *tails,
-	}
 	rep, fp, err := spec.Solve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wsfixed:", err)
@@ -77,8 +68,8 @@ func run() int {
 	fmt.Printf("residual:         %.3e\n", rep.Residual)
 	fmt.Printf("mean tasks E[L]:  %.6f\n", rep.MeanTasks)
 	fmt.Printf("time in sys E[T]: %.6f   (no stealing: %.6f)\n",
-		rep.SojournTime, meanfield.MM1SojournTime(*lambda))
-	fmt.Printf("tail decay ratio: %.6f   (no stealing: %.6f)\n", rep.TailRatio, *lambda)
+		rep.SojournTime, meanfield.MM1SojournTime(spec.Lambda))
+	fmt.Printf("tail decay ratio: %.6f   (no stealing: %.6f)\n", rep.TailRatio, spec.Lambda)
 	if *metricsFlag {
 		// The observable counterparts of the simulator's metrics layer:
 		// what `wssim -metrics` should converge to for this model. The
@@ -87,12 +78,12 @@ func run() int {
 		busy := fp.BusyFraction()
 		fmt.Printf("utilization:      %.6f   (busy fraction)\n", busy)
 		fmt.Printf("idle fraction:    %.6f\n", 1-busy)
-		if sT, ok := fp.StealSuccessProb(*tFlag); ok {
-			fmt.Printf("steal success:    %.6f   (victim above threshold, T=%d)\n", sT, *tFlag)
+		if sT, ok := fp.StealSuccessProb(spec.T); ok {
+			fmt.Printf("steal success:    %.6f   (victim above threshold, T=%d)\n", sT, spec.T)
 		}
 	}
 	fmt.Println("tails:")
-	for i := 0; i < *tails && i < rep.Dim; i++ {
+	for i := 0; i < spec.Tails && i < rep.Dim; i++ {
 		fmt.Printf("  π_%-3d = %.8f\n", i, fp.State[i])
 	}
 	return 0

@@ -26,25 +26,21 @@ func main() {
 // run returns the process exit code instead of calling os.Exit so that
 // deferred cleanups always execute and tests can drive it directly.
 func run() int {
-	model := flag.String("model", "simple", "model: nosteal, simple, threshold, choices")
-	lambda := flag.Float64("lambda", 0.9, "arrival rate")
-	tFlag := flag.Int("T", 2, "victim threshold")
-	dFlag := flag.Int("d", 2, "victim choices")
-	span := flag.Float64("span", 200, "integration span")
-	dt := flag.Float64("dt", 1, "output sampling interval")
+	// The flags fill the spec directly; their defaults are the spec's own,
+	// except λ, which the spec leaves to the caller.
+	var spec, def experiments.ODESpec
+	def.Normalize()
+	flag.StringVar(&spec.Model, "model", def.Model, "model: nosteal, simple, threshold, choices")
+	flag.Float64Var(&spec.Lambda, "lambda", 0.9, "arrival rate")
+	flag.IntVar(&spec.T, "T", def.T, "victim threshold")
+	flag.IntVar(&spec.D, "d", def.D, "victim choices")
+	flag.Float64Var(&spec.Span, "span", def.Span, "integration span")
+	flag.Float64Var(&spec.Dt, "dt", def.Dt, "output sampling interval")
 	plot := flag.Bool("plot", false, "render an ASCII chart of the mean load instead of CSV")
 	metricsFlag := flag.Bool("metrics", false, "print convergence metrics of the trajectory instead of CSV")
 	jsonFlag := flag.Bool("json", false, "emit the trajectory (and metrics) as JSON")
 	flag.Parse()
 
-	spec := experiments.ODESpec{
-		Model:  *model,
-		Lambda: *lambda,
-		T:      *tFlag,
-		D:      *dFlag,
-		Span:   *span,
-		Dt:     *dt,
-	}
 	rep, err := spec.Integrate()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wsode:", err)
@@ -81,14 +77,14 @@ func run() int {
 		if rep.SettleTime >= 0 {
 			fmt.Printf("settle time (1%%):  %.1f\n", rep.SettleTime)
 		} else {
-			fmt.Printf("settle time (1%%):  not reached within span %.1f\n", *span)
+			fmt.Printf("settle time (1%%):  not reached within span %.1f\n", spec.Span)
 		}
 		return 0
 	}
 	fmt.Println("t,mean_tasks,sojourn_estimate,l1_distance_to_fixed_point")
 	for i := range times {
 		fmt.Printf("%.3f,%.6f,%.6f,%.6e\n",
-			times[i], loads[i], loads[i] / *lambda, dists[i])
+			times[i], loads[i], loads[i]/spec.Lambda, dists[i])
 	}
 	return 0
 }

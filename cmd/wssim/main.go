@@ -54,35 +54,37 @@ func main() {
 // the profile flushes — execute on every exit path; main's os.Exit would
 // skip them.
 func run() (code int) {
-	engine := flag.String("engine", "des", "simulation engine: des, fluid, hybrid")
-	tracked := flag.Int("tracked", 0, "hybrid tracked sample size (0 = min(256, n))")
-	n := flag.Int("n", 128, "number of processors")
-	lambda := flag.Float64("lambda", 0, "external per-processor arrival rate")
-	lambdaInt := flag.Float64("lambda-int", 0, "internal spawn rate while busy")
-	policy := flag.String("policy", "steal", "policy: none, steal, rebalance")
-	service := flag.String("service", "exp", "service distribution: "+strings.Join(workload.ServiceDists, ", "))
-	stages := flag.Int("stages", 10, "stages for -service erlang")
-	scv := flag.Float64("scv", 0, "squared coefficient of variation for -service h2 (0 = default)")
-	shape := flag.Float64("shape", 0, "tail exponent for -service pareto (0 = default)")
-	ratio := flag.Float64("ratio", 0, "hi/lo bound ratio for -service pareto (0 = default)")
+	// The flags fill the spec directly, with wssim's batch-sized defaults.
+	var spec experiments.SimSpec
+	flag.StringVar(&spec.Engine, "engine", "des", "simulation engine: des, fluid, hybrid")
+	flag.IntVar(&spec.Tracked, "tracked", 0, "hybrid tracked sample size (0 = min(256, n))")
+	flag.IntVar(&spec.N, "n", 128, "number of processors")
+	flag.Float64Var(&spec.Lambda, "lambda", 0, "external per-processor arrival rate")
+	flag.Float64Var(&spec.LambdaInt, "lambda-int", 0, "internal spawn rate while busy")
+	flag.StringVar(&spec.Policy, "policy", "steal", "policy: none, steal, rebalance")
+	flag.StringVar(&spec.Service.Dist, "service", "exp", "service distribution: "+strings.Join(workload.ServiceDists, ", "))
+	flag.IntVar(&spec.Service.Stages, "stages", 10, "stages for -service erlang")
+	flag.Float64Var(&spec.Service.SCV, "scv", 0, "squared coefficient of variation for -service h2 (0 = default)")
+	flag.Float64Var(&spec.Service.Shape, "shape", 0, "tail exponent for -service pareto (0 = default)")
+	flag.Float64Var(&spec.Service.Ratio, "ratio", 0, "hi/lo bound ratio for -service pareto (0 = default)")
 	arrivals := flag.String("arrivals", "", "arrival model: "+strings.Join(workload.ArrivalKinds, ", ")+" (empty = poisson)")
 	mmppRates := flag.String("mmpp-rates", "", "comma-separated per-processor phase rates for -arrivals mmpp")
 	mmppSwitch := flag.String("mmpp-switch", "", "comma-separated phase-exit rates for -arrivals mmpp")
 	trace := flag.String("trace", "", "arrival trace file (JSON or CSV) for -arrivals trace")
-	tFlag := flag.Int("T", 2, "victim threshold")
-	bFlag := flag.Int("B", 0, "preemptive steal-begin level")
-	dFlag := flag.Int("d", 1, "victim choices per attempt")
-	kFlag := flag.Int("k", 1, "tasks per steal")
-	half := flag.Bool("half", false, "steal half the victim's queue per success")
-	retry := flag.Float64("retry", 0, "retry rate for idle thieves")
-	transfer := flag.Float64("transfer", 0, "transfer completion rate (0 = instantaneous)")
-	rebalance := flag.Float64("rebalance", 0, "rebalancing rate (policy rebalance)")
-	initial := flag.Int("initial", 0, "initial tasks per processor (static runs)")
-	horizon := flag.Float64("horizon", 100_000, "simulated time")
-	warmup := flag.Float64("warmup", 10_000, "warmup time excluded from stats")
-	reps := flag.Int("reps", 10, "independent replications")
+	flag.IntVar(&spec.T, "T", 2, "victim threshold")
+	flag.IntVar(&spec.B, "B", 0, "preemptive steal-begin level")
+	flag.IntVar(&spec.D, "d", 1, "victim choices per attempt")
+	flag.IntVar(&spec.K, "k", 1, "tasks per steal")
+	flag.BoolVar(&spec.Half, "half", false, "steal half the victim's queue per success")
+	flag.Float64Var(&spec.Retry, "retry", 0, "retry rate for idle thieves")
+	flag.Float64Var(&spec.Transfer, "transfer", 0, "transfer completion rate (0 = instantaneous)")
+	flag.Float64Var(&spec.Rebalance, "rebalance", 0, "rebalancing rate (policy rebalance)")
+	flag.IntVar(&spec.Initial, "initial", 0, "initial tasks per processor (static runs)")
+	flag.Float64Var(&spec.Horizon, "horizon", 100_000, "simulated time")
+	flag.Float64Var(&spec.Warmup, "warmup", 10_000, "warmup time excluded from stats")
+	flag.IntVar(&spec.Reps, "reps", 10, "independent replications")
 	workers := flag.Int("workers", 0, "parallel replication workers (0 = GOMAXPROCS)")
-	seed := flag.Uint64("seed", 1, "random seed")
+	flag.Uint64Var(&spec.Seed, "seed", 1, "random seed")
 	metricsFlag := flag.Bool("metrics", false, "report the observability metrics (utilization, steal rates, queue-length histogram)")
 	qhist := flag.Int("qhist", 16, "queue-length histogram depth for -metrics")
 	jsonFlag := flag.Bool("json", false, "emit results as JSON")
@@ -95,7 +97,8 @@ func run() (code int) {
 		fmt.Fprintln(os.Stderr, "wssim:", err)
 		return 2
 	}
-	if *engine == "fluid" || *engine == "hybrid" {
+	spec.Arrivals = arr
+	if spec.Engine == "fluid" || spec.Engine == "hybrid" {
 		// The DES batch defaults (λ = 0 static, 10⁵-second horizon, 10
 		// replications) either reject outright or waste work under the
 		// scaled engines; swap in serving-sized defaults for any flag the
@@ -103,36 +106,25 @@ func run() (code int) {
 		set := make(map[string]bool)
 		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		if !set["lambda"] && arr.IsPoisson() {
-			*lambda = 0.9
-			fmt.Fprintf(os.Stderr, "wssim: -engine %s defaulting to -lambda 0.9\n", *engine)
+			spec.Lambda = 0.9
+			fmt.Fprintf(os.Stderr, "wssim: -engine %s defaulting to -lambda 0.9\n", spec.Engine)
 		}
 		if !set["horizon"] {
-			*horizon = 8000
+			spec.Horizon = 8000
 		}
 		if !set["warmup"] {
-			*warmup = 1000
+			spec.Warmup = 1000
 		}
 		if !set["reps"] {
-			*reps = 4
-			if *engine == "fluid" {
-				*reps = 1 // the fluid trajectory is deterministic
+			spec.Reps = 4
+			if spec.Engine == "fluid" {
+				spec.Reps = 1 // the fluid trajectory is deterministic
 			}
 		}
 	}
 	// Static runs drop the warmup by default.
-	if *lambda == 0 && *initial > 0 {
-		*warmup = 0
-	}
-
-	spec := experiments.SimSpec{
-		Engine: *engine, Tracked: *tracked, N: *n,
-		Lambda: *lambda, LambdaInt: *lambdaInt, Policy: *policy,
-		Service: workload.ServiceSpec{Dist: *service, Stages: *stages,
-			SCV: *scv, Shape: *shape, Ratio: *ratio},
-		Arrivals: arr, Initial: *initial,
-		T: *tFlag, B: *bFlag, D: *dFlag, K: *kFlag, Half: *half,
-		Retry: *retry, Transfer: *transfer, Rebalance: *rebalance,
-		Horizon: *horizon, Warmup: *warmup, Reps: *reps, Seed: *seed,
+	if spec.Lambda == 0 && spec.Initial > 0 {
+		spec.Warmup = 0
 	}
 	if *metricsFlag {
 		spec.QHist = *qhist
