@@ -51,6 +51,7 @@ type Calendar struct {
 	work int
 
 	spill []Event // resize/calibration scratch, retained across runs
+	arena []Event // bucket storage, the largest carved so far (see setBuckets)
 }
 
 const (
@@ -85,17 +86,27 @@ const (
 	calTodayCap = 64
 )
 
-// newBuckets allocates a bucket array for nb buckets, arena-backed when
-// small enough to presize.
-func newBuckets(nb int) [][]Event {
-	b := make([][]Event, nb)
-	if nb <= calPresizeMax {
-		arena := make([]Event, nb*calBucketCap)
-		for i := range b {
-			b[i] = arena[i*calBucketCap : i*calBucketCap : (i+1)*calBucketCap]
-		}
+// setBuckets replaces the buckets, which must be empty, with nb empty
+// ones. Up to calPresizeMax buckets it re-slices the bucket array and the
+// arena it keeps, allocating only when nb exceeds every size carved so
+// far, so an engine recycled across cells of different n stops allocating
+// once it has seen the largest.
+func (q *Calendar) setBuckets(nb int) {
+	q.mask = int64(nb - 1)
+	if nb > calPresizeMax {
+		q.b = make([][]Event, nb)
+		return
 	}
-	return b
+	if cap(q.b) < nb {
+		q.b = make([][]Event, nb)
+	}
+	q.b = q.b[:nb]
+	if len(q.arena) < nb*calBucketCap {
+		q.arena = make([]Event, nb*calBucketCap)
+	}
+	for i := range q.b {
+		q.b[i] = q.arena[i*calBucketCap : i*calBucketCap : (i+1)*calBucketCap]
+	}
 }
 
 // NewCalendar returns a calendar queue pre-sized for about n pending
@@ -106,8 +117,9 @@ func NewCalendar(n int) *Calendar {
 	for nb < n && nb < calMaxBuckets {
 		nb <<= 1
 	}
-	return &Calendar{b: newBuckets(nb), mask: int64(nb - 1), inv: 1,
-		today: make([]Event, 0, calTodayCap)}
+	q := &Calendar{inv: 1, today: make([]Event, 0, calTodayCap)}
+	q.setBuckets(nb)
+	return q
 }
 
 // Len returns the number of pending events. Keeping today's live
@@ -375,8 +387,7 @@ func (q *Calendar) recalibrate() {
 	q.cur = 0
 	q.n = 0
 	if nb != len(q.b) {
-		q.b = newBuckets(nb)
-		q.mask = int64(nb - 1)
+		q.setBuckets(nb)
 	}
 	if w > 0 {
 		q.inv = 1 / w

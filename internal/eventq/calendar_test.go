@@ -277,3 +277,42 @@ func BenchmarkCalendarPushPop(b *testing.B) {
 		c.Push(e)
 	}
 }
+
+// TestCalendarArenaReuse drives one calendar through alternating event
+// populations, 16 → 128 → 16 → 128 pending events, each held long enough
+// to recalibrate the bucket count. After the first growth to 128 events
+// every resize must re-slice the kept bucket arena, never allocate one.
+func TestCalendarArenaReuse(t *testing.T) {
+	c := NewCalendar(16)
+	r := rng.New(1)
+	now := 0.0
+	hold := func(n int) int {
+		for c.Len() < n {
+			c.Push(Event{Time: now + r.Exp(1)})
+		}
+		for c.Len() > n {
+			now = c.PopMin().Time
+		}
+		for i := 0; i < 20_000; i++ {
+			e := c.PopMin()
+			now = e.Time
+			e.Time = now + r.Exp(1)
+			c.Push(e)
+		}
+		return len(c.b)
+	}
+	small, large := hold(16), hold(128)
+	if small >= large {
+		t.Fatalf("bucket count %d at 16 events, %d at 128: the populations did not resize the calendar", small, large)
+	}
+	arena := &c.arena[0]
+	for _, n := range []int{16, 128, 16, 128} {
+		want := map[int]int{16: small, 128: large}[n]
+		if nb := hold(n); nb != want {
+			t.Fatalf("%d events: %d buckets, want %d", n, nb, want)
+		}
+		if &c.arena[0] != arena {
+			t.Fatalf("%d events: the calendar allocated a new bucket arena", n)
+		}
+	}
+}
