@@ -1,5 +1,5 @@
 // Command wsbench measures the repository's performance numbers and writes
-// them to a machine-readable JSON file (BENCH_PR3.json at the repo root, by
+// them to a machine-readable JSON file (BENCH_PR10.json at the repo root, by
 // convention), so the perf trajectory across PRs is recorded next to the
 // code rather than in commit messages.
 //
