@@ -28,8 +28,9 @@ var updateGolden = flag.Bool("update", false, "rewrite the mean-field golden und
 // meanFieldGoldenSpecs is every FixedPointModels entry at its default
 // parameters (multisteal at T = 4) for λ ∈ {0.5, 0.9}, the threshold-family
 // models at λ = 0.99, and non-default parameters for the models that take
-// them. Transfer-family models stay below λ = 0.95, where one solve takes
-// minutes.
+// them, including the stage, rebalance and choices kernels at λ = 0.8 away
+// from their defaults. Transfer-family models stay below λ = 0.95, where
+// one solve takes minutes.
 func meanFieldGoldenSpecs() []FixedPointSpec {
 	var specs []FixedPointSpec
 	for _, lam := range []float64{0.5, 0.9} {
@@ -54,6 +55,11 @@ func meanFieldGoldenSpecs() []FixedPointSpec {
 		FixedPointSpec{Model: "choices", Lambda: 0.9, D: 3},
 		FixedPointSpec{Model: "multisteal", Lambda: 0.9, T: 6, K: 3},
 		FixedPointSpec{Model: "preemptive", Lambda: 0.9, B: 1, T: 4},
+		FixedPointSpec{Model: "stages", Lambda: 0.8, C: 3, T: 3},
+		FixedPointSpec{Model: "stages", Lambda: 0.8, C: 1, T: 2},
+		FixedPointSpec{Model: "rebalance", Lambda: 0.8, R: 0.25},
+		FixedPointSpec{Model: "rebalance", Lambda: 0.8, R: 4},
+		FixedPointSpec{Model: "choices", Lambda: 0.8, D: 3, T: 3},
 	)
 }
 
