@@ -51,7 +51,9 @@ func powd(v float64, d int) float64 {
 	}
 }
 
-// Derivs implements the system above with boundary s_{dim} = 0.
+// Derivs implements the system above with boundary s_{dim} = 0. Levels
+// below T carry no steal term, and a level's (1−s_{i+1})^d is the next
+// level's (1−s_i)^d, so each power is computed once.
 func (m *Choices) Derivs(x, dx []float64) {
 	lambda := m.lambda
 	n := len(x)
@@ -62,15 +64,19 @@ func (m *Choices) Derivs(x, dx []float64) {
 		return x[i]
 	}
 	theta := x[1] - x[2]
-	sT := at(m.t)
+	t := min(m.t, n)
+	pw := powd(1-at(m.t), m.d)
 	dx[0] = 0
-	dx[1] = lambda*(x[0]-x[1]) - (x[1]-x[2])*powd(1-sT, m.d)
-	for i := 2; i < n; i++ {
+	dx[1] = lambda*(x[0]-x[1]) - (x[1]-x[2])*pw
+	for i := 2; i < t; i++ {
+		dx[i] = lambda*(x[i-1]-x[i]) - (x[i] - at(i+1))
+	}
+	for i := t; i < n; i++ {
 		next := at(i + 1)
+		pn := powd(1-next, m.d)
 		d := lambda*(x[i-1]-x[i]) - (x[i] - next)
-		if i >= m.t {
-			d -= (powd(1-next, m.d) - powd(1-x[i], m.d)) * theta
-		}
+		d -= (pn - pw) * theta
 		dx[i] = d
+		pw = pn
 	}
 }

@@ -76,6 +76,16 @@ func (m *Rebalance) Derivs(x, dx []float64) {
 	}
 	// Rebalancing generator over the PMF.
 	p := core.TailsToPMF(x)
+	// pmax bounds every p_l, so a row whose a·pmax is below the pair
+	// cutoff has no pair above it: rounding is monotone, and
+	// a·p_l ≤ a·pmax for a ≥ 0. A NaN in p makes pmax NaN, which keeps
+	// every row and lets the NaN reach dx as before (DESIGN §17).
+	pmax := 0.0
+	for _, v := range p {
+		if v > pmax || v != v {
+			pmax = v
+		}
+	}
 	for j := 0; j < n; j++ {
 		if p[j] <= 0 {
 			continue
@@ -84,11 +94,15 @@ func (m *Rebalance) Derivs(x, dx []float64) {
 		if rj == 0 {
 			continue
 		}
+		a := rj * p[j]
+		if a*pmax < 1e-18 {
+			continue
+		}
 		for l := 0; l < n; l++ {
 			if p[l] <= 0 {
 				continue
 			}
-			rate := rj * p[j] * p[l]
+			rate := a * p[l]
 			// Pairs with negligible probability cannot move visible mass;
 			// skipping them keeps the evaluation near O(L_eff²) where
 			// L_eff is the effective support of the load distribution.
@@ -107,11 +121,12 @@ func (m *Rebalance) Derivs(x, dx []float64) {
 			}
 			// After: levels ≤ lo have both, (lo, hi] have one, > hi none.
 			// Before: levels ≤ mn have both, (mn, mx] have one, > mx none.
-			// Change for i in (mn, lo]: +1; for i in (hi, mx]: −1.
-			for i := mn + 1; i <= lo && i < n; i++ {
+			// Change for i in (mn, lo]: +1; for i in (hi, mx]: −1. Both
+			// bands end at or below mx < n.
+			for i := mn + 1; i <= lo; i++ {
 				dx[i] += rate
 			}
-			for i := hi + 1; i <= mx && i < n; i++ {
+			for i := hi + 1; i <= mx; i++ {
 				dx[i] -= rate
 			}
 		}
