@@ -315,4 +315,15 @@ func TestCalendarArenaReuse(t *testing.T) {
 			t.Fatalf("%d events: the calendar allocated a new bucket arena", n)
 		}
 	}
+	// Warmed, the whole population cycle allocates nothing. Each jump to
+	// 128 events overflows a few arena slots before the bucket count
+	// catches up; the grown arrays are kept as spares for the next jump.
+	cycle := func() {
+		for _, n := range []int{16, 128, 16, 128} {
+			hold(n)
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, cycle); allocs != 0 {
+		t.Fatalf("warmed 16 → 128 → 16 → 128 cycle: %v allocations, want 0", allocs)
+	}
 }
