@@ -2,15 +2,23 @@ package repro
 
 // A guard against regrowth of code nothing needs: every top-level func,
 // method and type in the non-test Go of this module and of perfbench/
-// must be referenced somewhere outside its own declaration. The scan is
-// by name, over go/parser syntax trees, so it is conservative: a method
-// counts as used when any selector anywhere carries its name.
+// must be referenced somewhere outside its own declaration. References are
+// resolved with go/types (the standard library type-checked from source),
+// so a selector counts only for the method it resolves to, not for every
+// method of that name. A method is also used when a module interface
+// method of its name is referenced and a module type whose method set
+// reaches it implements that interface: a call through the interface may
+// dispatch to it.
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -21,6 +29,7 @@ import (
 // a test uses them to check other code. Keys are "dir.Name" or
 // "dir.Recv.Method".
 var keptForTests = map[string]string{
+	"internal/chaos.Injector.Count":          "per-site fault count the chaos and scheduler tests read",
 	"internal/chaos.Injector.SetDisabled":    "lets the chaos tests switch injection off mid-run",
 	"internal/chaos.Injector.Total":          "fault-count accessor the chaos tests read",
 	"internal/core.PMFToTails":               "inverse check of TailsToPMF",
@@ -30,15 +39,20 @@ var keptForTests = map[string]string{
 	"internal/meanfield.PhaseService.Levels": "accessor the phase-service tests read",
 	"internal/numeric.RelErr":                "tolerance oracle of the solver and closed-form tests",
 	"internal/ode.IntegrateToSteady":         "baseline of BenchmarkPlainIntegration",
+	"internal/rng.Source.Intn":               "reference the Bounded sampler test checks against; the fuzz tests draw with it",
+	"internal/sched.Cell.Done":               "completion channel the lease tests wait on",
+	"internal/sim.Runner.Run":                "one validated replication, which the stop tests drive the engine through",
 	"internal/sim.taskDeque.Front":           "accessor the deque tests check ordering with",
 	"internal/stability.Report.Stable":       "verdict accessor the stability tests read",
 	"internal/stats.Summary.Contains":        "coverage oracle of the confidence-interval tests",
+	"internal/table.Table.Cell":              "cell accessor the table, metrics and experiments tests read",
 	"internal/table.Table.NumRows":           "accessor the table tests read",
 	"internal/workload.MMPP.MeanRate":        "closed form the MMPP sampler test checks against",
 }
 
 // interfaceMethods are method names the runtime or the standard library
-// calls through an interface, so no selector names them.
+// calls through one of its own interfaces, so no module selector resolves
+// to them.
 var interfaceMethods = map[string]string{
 	"String":        "fmt.Stringer, called by the fmt verbs",
 	"Error":         "error, called by whoever prints the error",
@@ -54,6 +68,7 @@ var interfaceMethods = map[string]string{
 // up: a func's or method's own text, or a type's spec plus its methods.
 type decl struct {
 	key, name string
+	obj       types.Object
 	method    bool
 	spans     [][2]token.Pos
 }
@@ -68,68 +83,159 @@ func (d *decl) within(p token.Pos) bool {
 	return false
 }
 
+// modulePkg is one directory of non-test Go, type-checked on demand.
+type modulePkg struct {
+	dir   string
+	files []*ast.File
+	pkg   *types.Package
+}
+
+// moduleImporter type-checks the module's own packages from the parsed
+// files, in import order, and hands every other path to the standard
+// library's source importer.
+type moduleImporter struct {
+	t    *testing.T
+	fset *token.FileSet
+	pkgs map[string]*modulePkg // by import path
+	info *types.Info
+	std  types.Importer
+}
+
+func (m *moduleImporter) Import(p string) (*types.Package, error) {
+	mp, ok := m.pkgs[p]
+	if !ok {
+		return m.std.Import(p)
+	}
+	if mp.pkg == nil {
+		conf := types.Config{Importer: m, Error: func(err error) { m.t.Error(err) }}
+		mp.pkg, _ = conf.Check(p, m.fset, mp.files, m.info)
+	}
+	return mp.pkg, nil
+}
+
 func TestNoUnreferencedDeclarations(t *testing.T) {
+	// Select the pure-Go files of net and os/user, so the source importer
+	// never runs cgo.
+	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
+	build.Default.CgoEnabled = false
+
 	fset := token.NewFileSet()
-	var decls []*decl
-	methods := map[string][][2]token.Pos{} // "dir.Type" -> its methods' spans
-	uses := map[string][]token.Pos{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	pkgs := map[string]*modulePkg{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			if p != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), d.Name()); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil && (d.Name.Name == "main" || d.Name.Name == "init") {
-					continue
-				}
-				key, span := dir+"."+d.Name.Name, [2]token.Pos{d.Pos(), d.End()}
-				if d.Recv != nil {
-					typ := dir + "." + recvName(d.Recv.List[0].Type)
-					methods[typ] = append(methods[typ], span)
-					key = typ + "." + d.Name.Name
-				}
-				decls = append(decls, &decl{key, d.Name.Name, d.Recv != nil, [][2]token.Pos{span}})
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					if ts, ok := s.(*ast.TypeSpec); ok {
-						decls = append(decls, &decl{dir + "." + ts.Name.Name, ts.Name.Name, false, [][2]token.Pos{{ts.Pos(), ts.End()}}})
-					}
-				}
-			}
+		dir := filepath.ToSlash(filepath.Dir(p))
+		ip := path.Join("repro", dir)
+		if pkgs[ip] == nil {
+			pkgs[ip] = &modulePkg{dir: dir}
 		}
-		recv := map[*ast.FieldList]bool{}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				recv[n.Recv] = true
-			case *ast.FieldList:
-				// A method's receiver names its type without using it.
-				return !recv[n]
-			case *ast.Ident:
-				uses[n.Name] = append(uses[n.Name], n.Pos())
-			}
-			return true
-		})
+		pkgs[ip].files = append(pkgs[ip].files, f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	imp := &moduleImporter{t, fset, pkgs, info, importer.ForCompiler(fset, "source", nil)}
+	paths := make([]string, 0, len(pkgs))
+	for p := range pkgs {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		imp.Import(p)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	var decls []*decl
+	methods := map[string][][2]token.Pos{} // "dir.Type" -> its methods' spans
+	var named []*types.TypeName            // every module type, for interface dispatch
+	for _, p := range paths {
+		dir := pkgs[p].dir
+		for _, f := range pkgs[p].files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil && (d.Name.Name == "main" || d.Name.Name == "init") {
+						continue
+					}
+					key, span := dir+"."+d.Name.Name, [2]token.Pos{d.Pos(), d.End()}
+					if d.Recv != nil {
+						typ := dir + "." + recvName(d.Recv.List[0].Type)
+						methods[typ] = append(methods[typ], span)
+						key = typ + "." + d.Name.Name
+					}
+					decls = append(decls, &decl{key, d.Name.Name, info.Defs[d.Name], d.Recv != nil, [][2]token.Pos{span}})
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						if ts, ok := s.(*ast.TypeSpec); ok {
+							obj := info.Defs[ts.Name]
+							named = append(named, obj.(*types.TypeName))
+							decls = append(decls, &decl{dir + "." + ts.Name.Name, ts.Name.Name, obj, false, [][2]token.Pos{{ts.Pos(), ts.End()}}})
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// Every position that names an object, with methods of generic types
+	// folded onto their declaration.
+	uses := map[types.Object][]token.Pos{}
+	var ifaceMethods []*types.Func // referenced methods of module interfaces
+	for id, obj := range info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			uses[obj] = append(uses[obj], id.Pos())
+			continue
+		}
+		fn = fn.Origin()
+		if len(uses[fn]) == 0 && fn.Pkg() != nil && pkgs[fn.Pkg().Path()] != nil {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				ifaceMethods = append(ifaceMethods, fn)
+			}
+		}
+		uses[fn] = append(uses[fn], id.Pos())
+	}
+	// A call through a module interface may reach, by promotion too, the
+	// method of every module type that implements it.
+	dispatched := map[types.Object]bool{}
+	for _, im := range ifaceMethods {
+		iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		for _, tn := range named {
+			if types.IsInterface(tn.Type()) {
+				continue
+			}
+			ptr := types.NewPointer(tn.Type())
+			if !types.Implements(tn.Type(), iface) && !types.Implements(ptr, iface) {
+				continue
+			}
+			if obj, _, _ := types.LookupFieldOrMethod(ptr, false, im.Pkg(), im.Name()); obj != nil {
+				dispatched[obj.(*types.Func).Origin()] = true
+			}
+		}
+	}
+
 	declared := map[string]bool{}
 	var unused []string
 	for _, d := range decls {
@@ -143,8 +249,8 @@ func TestNoUnreferencedDeclarations(t *testing.T) {
 		if _, ok := interfaceMethods[d.name]; ok && d.method {
 			continue
 		}
-		used := false
-		for _, p := range uses[d.name] {
+		used := dispatched[d.obj]
+		for _, p := range uses[d.obj] {
 			if !d.within(p) {
 				used = true
 				break

@@ -194,9 +194,6 @@ func NewPhaseService(lambda float64, ph dist.PhaseType, t int, retry float64) *P
 	}
 }
 
-// Phases returns the service-phase count J.
-func (m *PhaseService) Phases() int { return m.nph }
-
 // Levels returns the task-level truncation depth.
 func (m *PhaseService) Levels() int { return m.levels }
 
@@ -257,9 +254,6 @@ func (m *PhaseService) WarmStart() []float64 {
 	m.Project(x)
 	return x
 }
-
-// idx returns the state index of occupancy (i tasks, head phase j).
-func (m *PhaseService) idx(i, j int) int { return 1 + (i-1)*m.nph + j }
 
 // Derivs implements the occupancy-space system documented on the type.
 func (m *PhaseService) Derivs(x, dx []float64) {

@@ -35,18 +35,6 @@ func (k *KahanSum) Add(x float64) {
 // Sum returns the compensated total.
 func (k *KahanSum) Sum() float64 { return k.sum }
 
-// Reset clears the accumulator back to zero.
-func (k *KahanSum) Reset() { k.sum, k.c = 0, 0 }
-
-// Sum returns the compensated sum of xs.
-func Sum(xs []float64) float64 {
-	var k KahanSum
-	for _, x := range xs {
-		k.Add(x)
-	}
-	return k.Sum()
-}
-
 // NormInf returns the max-absolute-value norm of xs (0 for empty input).
 func NormInf(xs []float64) float64 {
 	m := 0.0
@@ -126,15 +114,6 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// Close reports whether a and b agree to within absolute tolerance atol or
-// relative tolerance rtol (whichever is looser), mirroring the usual
-// |a−b| <= atol + rtol·max(|a|,|b|) test.
-func Close(a, b, atol, rtol float64) bool {
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= atol+rtol*scale
 }
 
 // RelErr returns |got−want| / |want|, or |got−want| when want == 0.

@@ -164,9 +164,6 @@ func NewBounded(n int) Bounded {
 	return Bounded{bound: b, thresh: (-b) % b}
 }
 
-// N returns the exclusive upper bound of the sampler's range.
-func (b Bounded) N() int { return int(b.bound) }
-
 // Next returns a uniform integer in [0, n), drawing from r.
 func (b Bounded) Next(r *Source) int {
 	for {
@@ -225,12 +222,3 @@ func (r *Source) Erlang(k int, rate float64) float64 {
 
 // Bernoulli returns true with probability p.
 func (r *Source) Bernoulli(p float64) bool { return r.Float64() < p }
-
-// Shuffle permutes the first n integers via the provided swap function using
-// Fisher–Yates.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

@@ -198,22 +198,6 @@ func TestBernoulli(t *testing.T) {
 	}
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	r := New(41)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make(map[int]bool)
-	for _, x := range xs {
-		if seen[x] {
-			t.Fatalf("duplicate %d after shuffle", x)
-		}
-		seen[x] = true
-	}
-	if len(seen) != 8 {
-		t.Fatal("shuffle lost elements")
-	}
-}
-
 func TestMul64(t *testing.T) {
 	hi, lo := mul64(math.MaxUint64, math.MaxUint64)
 	// (2^64-1)^2 = 2^128 - 2^65 + 1 -> hi = 2^64-2, lo = 1.
@@ -308,9 +292,6 @@ func TestBoundedMatchesIntn(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 64, 127, 128, 1000003} {
 		a, b := New(uint64(n)), New(uint64(n))
 		smp := NewBounded(n)
-		if smp.N() != n {
-			t.Fatalf("NewBounded(%d).N() = %d", n, smp.N())
-		}
 		for i := 0; i < 20000; i++ {
 			if got, want := smp.Next(a), b.Intn(n); got != want {
 				t.Fatalf("n=%d draw %d: Bounded %d, Intn %d", n, i, got, want)

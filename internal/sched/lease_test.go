@@ -241,9 +241,6 @@ func TestPendingCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Reps() != reps {
-		t.Fatalf("Reps() = %d, want %d", c.Reps(), reps)
-	}
 	before := c.Pending()
 	if before == 0 {
 		t.Skip("pool drained the queue before the snapshot; nothing to assert")

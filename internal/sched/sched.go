@@ -436,11 +436,9 @@ func (c *Cell) Done() <-chan struct{} { return c.done }
 func (c *Cell) Ran() int64 { return c.ran.Load() }
 
 // Stolen reports how many replications were fulfilled by remote thieves.
-// For an uncancelled cell, Ran() + Stolen() == Reps() once Done is closed.
+// For an uncancelled cell, Ran() + Stolen() is the replication count once
+// Done is closed.
 func (c *Cell) Stolen() int64 { return c.stolen.Load() }
-
-// Reps returns the cell's replication count.
-func (c *Cell) Reps() int { return len(c.results) }
 
 // Pending counts replications still claimable — not yet picked up locally,
 // leased, or resolved. It is a racy snapshot, which is all load gossip
