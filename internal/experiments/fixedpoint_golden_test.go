@@ -45,6 +45,14 @@ func meanFieldGoldenSpecs() []FixedPointSpec {
 	for _, m := range []string{"simple", "threshold", "repeated"} {
 		specs = append(specs, FixedPointSpec{Model: m, Lambda: 0.99})
 	}
+	// No stealing near saturation, and spawning away from its default
+	// threshold and spawn fraction: the threshold kernel's separate level-1
+	// and busy-level arrival rates.
+	specs = append(specs,
+		FixedPointSpec{Model: "nosteal", Lambda: 0.99},
+		FixedPointSpec{Model: "spawning", Lambda: 0.8, T: 3, LI: 0.5},
+		FixedPointSpec{Model: "spawning", Lambda: 0.8, T: 4},
+	)
 	return append(specs,
 		FixedPointSpec{Model: "threshold", Lambda: 0.9, T: 3},
 		FixedPointSpec{Model: "threshold", Lambda: 0.9, T: 5},
