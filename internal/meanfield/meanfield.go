@@ -22,14 +22,18 @@
 //	NewPhaseService     (§3.1)  phase-type service, the general form of Stages
 //
 // Special cases share one kernel, as they share one ODE family in the
-// paper: simple WS is threshold stealing at T = 2 and threshold stealing
-// is repeated stealing at r = 0, so NewSimpleWS, NewThreshold and
-// NewRepeated all build a Repeated; NewTransfer and NewRepeatedTransfer
-// both build a RepeatedTransfer (retry rate ra = 0 for the former). The
-// constructors differ only in the model name and the warm start. Every
-// model whose state is one task-indexed tail vector embeds tails, which
-// supplies the truncation, initial state, projection, mean load and warm
-// start.
+// paper. Simple WS is threshold stealing at T = 2, threshold stealing is
+// repeated stealing at r = 0, and no stealing is threshold stealing with a
+// threshold no level reaches. Spawning and the static drain are threshold
+// stealing whose arrival rate into level 1 (an empty processor) differs
+// from the rate into the busy levels. So NewNoSteal, NewSimpleWS,
+// NewThreshold, NewRepeated and NewSpawning all build a Repeated, and
+// Static wraps one around its initial state; NewTransfer and
+// NewRepeatedTransfer both build a RepeatedTransfer (retry rate ra = 0 for
+// the former). The constructors differ only in the model name, the
+// parameters and the warm start. Every model whose state is one
+// task-indexed tail vector embeds tails, which supplies the truncation,
+// initial state, projection, mean load and warm start.
 //
 // Every model implements core.Model; Solve finds its fixed point with the
 // Anderson-accelerated solver, and the closed forms in closedform.go provide
