@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/numeric"
 )
@@ -184,16 +185,20 @@ func ProjectTails(s []float64) {
 	}
 }
 
-// TailsToPMF converts a tail vector s into the probability mass function
-// p_i = s_i − s_{i+1} (fraction of processors with exactly i tasks). The
-// mass of the final index absorbs the truncated tail.
-func TailsToPMF(s []float64) []float64 {
-	p := make([]float64, len(s))
+// TailsToPMF appends to dst the probability mass function of the tail
+// vector s, p_i = s_i − s_{i+1} (fraction of processors with exactly i
+// tasks), and returns the extended slice. The mass of the final index
+// absorbs the truncated tail. Passing a reused buffer's dst[:0] makes the
+// conversion allocation-free once the buffer has grown to len(s).
+func TailsToPMF(dst, s []float64) []float64 {
+	k := len(dst)
+	dst = slices.Grow(dst, len(s))[:k+len(s)]
+	p := dst[k:]
 	for i := 0; i < len(s)-1; i++ {
 		p[i] = s[i] - s[i+1]
 	}
 	p[len(s)-1] = s[len(s)-1]
-	return p
+	return dst
 }
 
 // PMFToTails converts a mass function p into tails s_i = Σ_{j≥i} p_j.

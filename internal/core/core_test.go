@@ -52,7 +52,12 @@ func TestProjectTails(t *testing.T) {
 
 func TestPMFRoundTrip(t *testing.T) {
 	s := []float64{1, 0.6, 0.3, 0.1, 0}
-	p := TailsToPMF(s)
+	// TailsToPMF appends after whatever dst already holds.
+	p := TailsToPMF([]float64{-1}, s)
+	if len(p) != 1+len(s) || p[0] != -1 {
+		t.Fatalf("TailsToPMF did not append after the prefix: %v", p)
+	}
+	p = p[1:]
 	// p = (0.4, 0.3, 0.2, 0.1, 0)
 	want := []float64{0.4, 0.3, 0.2, 0.1, 0}
 	for i := range want {
@@ -142,7 +147,7 @@ func TestPMFMassConservation(t *testing.T) {
 		}
 		s[0] = 1
 		ProjectTails(s)
-		p := TailsToPMF(s)
+		p := TailsToPMF(nil, s)
 		var mass float64
 		for _, v := range p {
 			mass += v

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/numeric"
 )
 
@@ -61,7 +62,7 @@ func refRebalanceDerivs(m *Rebalance, x, dx []float64) {
 		}
 		dx[i] = lambda*(x[i-1]-x[i]) - (x[i] - next)
 	}
-	p := core.TailsToPMF(x)
+	p := core.TailsToPMF(nil, x)
 	for j := 0; j < n; j++ {
 		if p[j] <= 0 {
 			continue
@@ -221,5 +222,37 @@ func TestChoicesDerivsLockstep(t *testing.T) {
 		m := &Choices{tails: tails{base: base{lambda: 0.05 + 0.94*r.Float64()}, t: tt}, d: d}
 		name := fmt.Sprintf("choices(T=%d,d=%d)", tt, d)
 		lockstep(t, name, kernelState(r, n), m.Derivs, func(x, dx []float64) { refChoicesDerivs(m, x, dx) })
+	}
+}
+
+// TestDerivsAllocFree gates every model's Derivs at zero allocations once
+// warm: the solvers call it millions of times per solve, and Rebalance and
+// StealHalf reuse a PMF buffer they own instead of allocating one per call.
+func TestDerivsAllocFree(t *testing.T) {
+	ph, err := dist.FitH2(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []core.Model{
+		NewNoSteal(0.8), NewSimpleWS(0.8), NewThreshold(0.8, 3), NewRepeated(0.8, 3, 1),
+		NewSpawning(0.4, 0.5, 3), NewStatic(UniformInitial(5), 0.3, 2),
+		NewPreemptive(0.8, 1, 4), NewChoices(0.8, 3, 2), NewMultiSteal(0.8, 4, 2),
+		NewStages(0.8, 3, 2), NewTransfer(0.8, 2, 0.5), NewRepeatedTransfer(0.8, 2, 1, 0.5),
+		NewRebalance(0.8, ConstRate(1), 1), NewStealHalf(0.8, 2),
+		NewHetero(0.5, 0.6, 0.4, 2, 0.5, 2), NewPhaseService(0.8, ph, 2, 0),
+	} {
+		// A few projected Euler steps from the initial state fill the low
+		// levels, so the steal and rebalancing generators have work to do.
+		x, dx := m.Initial(), make([]float64, m.Dim())
+		for k := 0; k < 8; k++ {
+			m.Derivs(x, dx)
+			for i := range x {
+				x[i] += 0.25 * dx[i]
+			}
+			m.Project(x)
+		}
+		if got := testing.AllocsPerRun(20, func() { m.Derivs(x, dx) }); got != 0 {
+			t.Errorf("%s: a warmed Derivs call allocates %v times, want 0", m.Name(), got)
+		}
 	}
 }

@@ -27,10 +27,15 @@ func ConstRate(r float64) RateFunc { return func(int) float64 { return r } }
 //
 // Grouped by i this telescopes to exactly the paper's sums; the direct form
 // is O(L²) per evaluation, which is fine at the truncations used here.
+//
+// Derivs converts the state into a PMF buffer the model owns, so it
+// allocates nothing once warm but must not run concurrently on one model;
+// every caller builds its own model per solve, run or request.
 type Rebalance struct {
 	tails
 	rate RateFunc
 	rmax float64
+	pmf  []float64 // Derivs scratch
 }
 
 // NewRebalance constructs the model with arrival rate λ and rebalancing
@@ -47,7 +52,7 @@ func NewRebalance(lambda float64, rate RateFunc, rmax float64) *Rebalance {
 	// whereas filling up from empty relaxes at the much faster arrival
 	// time scale.
 	name := fmt.Sprintf("rebalance(rmax=%g)", rmax)
-	m := &Rebalance{newTails(name, lambda, 0, nil), rate, rmax}
+	m := &Rebalance{tails: newTails(name, lambda, 0, nil), rate: rate, rmax: rmax}
 	// O(L²) derivative evaluations want a tighter truncation; rebalancing
 	// thins tails aggressively, so a λ-ratio truncation at a looser
 	// tolerance remains conservative.
@@ -75,7 +80,8 @@ func (m *Rebalance) Derivs(x, dx []float64) {
 		dx[i] = lambda*(x[i-1]-x[i]) - (x[i] - next)
 	}
 	// Rebalancing generator over the PMF.
-	p := core.TailsToPMF(x)
+	m.pmf = core.TailsToPMF(m.pmf[:0], x)
+	p := m.pmf[:n] // len n lets the compiler drop the p[j] and p[l] bounds checks
 	// pmax bounds every p_l, so a row whose a·pmax is below the pair
 	// cutoff has no pair above it: rounding is monotone, and
 	// a·p_l ≤ a·pmax for a ≥ 0. A NaN in p makes pmax NaN, which keeps

@@ -22,8 +22,12 @@ import (
 // for i ≥ 1, on top of the usual arrival and service terms (the thief side
 // also cancels part of the s₁ departure, handled via the success
 // probability s_T as in the other models).
+//
+// Like Rebalance, Derivs fills a PMF buffer the model owns: it allocates
+// nothing once warm but must not run concurrently on one model.
 type StealHalf struct {
 	tails
+	pmf []float64 // Derivs scratch
 }
 
 // NewStealHalf constructs the steal-half model with arrival rate λ and
@@ -36,7 +40,7 @@ func NewStealHalf(lambda float64, t int) *StealHalf {
 	// one of an O(L²) generator, both for the reasons in NewRebalance:
 	// starting above the strongly-equalized equilibrium leaves a slow
 	// linear drain.
-	m := &StealHalf{newTails(fmt.Sprintf("stealhalf(T=%d)", t), lambda, t, nil)}
+	m := &StealHalf{tails: newTails(fmt.Sprintf("stealhalf(T=%d)", t), lambda, t, nil)}
 	if m.dim > 1024 {
 		m.dim = max(core.TruncationDim(lambda, 1e-10, 32, 1024), t+8)
 	}
@@ -69,7 +73,8 @@ func (m *StealHalf) Derivs(x, dx []float64) {
 	// Steal generator over victims with load j ≥ T. The thief's crossing
 	// of level 1 is already accounted for in ds₁ above, so the indicator
 	// for the thief side applies to i ≥ 2 only.
-	p := core.TailsToPMF(x)
+	m.pmf = core.TailsToPMF(m.pmf[:0], x)
+	p := m.pmf[:n] // len n lets the compiler drop the p[j] bounds checks
 	for j := m.t; j < n; j++ {
 		if p[j] <= 0 {
 			continue
