@@ -230,6 +230,28 @@ func TestCLIWssweep(t *testing.T) {
 	}
 }
 
+// TestCLIWssweepBadRowExits2 checks that a sweep with an invalid row fails
+// with the spec's error before any solve, instead of printing blank rows.
+func TestCLIWssweepBadRowExits2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-sweep", "retry", "-T", "1"},
+		{"-sweep", "threshold", "-lambda", "1.2"},
+		{"-sweep", "multisteal", "-T", "1"},
+	} {
+		cmd := exec.Command(filepath.Join(buildCmds(t), "wssweep"), args...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 {
+			t.Errorf("wssweep %v: want exit 2, got %v", args, err)
+		}
+		if len(out) != 0 || !strings.Contains(stderr.String(), "experiments:") {
+			t.Errorf("wssweep %v: want no table and the spec's error, got\n%s%s", args, out, stderr.String())
+		}
+	}
+}
+
 func TestCLIWssimMetrics(t *testing.T) {
 	out := run(t, "wssim", "-n", "16", "-lambda", "0.7", "-policy", "steal", "-T", "2",
 		"-horizon", "2000", "-warmup", "200", "-reps", "2", "-metrics")

@@ -11,6 +11,10 @@
 //	wssweep -sweep multisteal -lambda 0.9 -T 10
 //	wssweep -sweep lambda -model simple
 //
+// Every row is the experiments.FixedPointSpec wsfixed would solve for the
+// same model and parameters. A row the spec rejects exits 2 before any
+// solve; a solve that fails exits 1.
+//
 // The swept values solve independently, so they run in parallel on -workers
 // pool workers (GOMAXPROCS by default); rows are emitted in sweep order
 // regardless of which solve finishes first.
@@ -23,7 +27,7 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
-	"repro/internal/meanfield"
+	"repro/internal/experiments"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/table"
@@ -65,78 +69,49 @@ func run() (code int) {
 		}
 	}()
 
-	headers := []string{"value", "E[T]"}
-	if *metricsFlag {
-		headers = append(headers, "E[L]", "utilization", "s_T")
-	}
-	t := table.New(fmt.Sprintf("Sweep %s (λ = %g)", *sweep, *lambda), headers...)
-	// cells renders one row; fp may be nil for closed-form entries with no
-	// tail vector behind them (the metrics columns then show "-").
-	cells := func(label string, v float64, fp *core.FixedPoint, T int) []string {
-		if !*metricsFlag {
-			return []string{label, fmt.Sprintf("%.4f", v)}
-		}
-		meanTasks, util, sT := "-", "-", "-"
-		if fp != nil {
-			meanTasks = fmt.Sprintf("%.4f", fp.MeanTasks())
-			util = fmt.Sprintf("%.4f", fp.BusyFraction())
-			if p, ok := fp.StealSuccessProb(T); ok {
-				sT = fmt.Sprintf("%.4f", p)
-			}
-		}
-		return []string{label, fmt.Sprintf("%.4f", v), meanTasks, util, sT}
+	// A zero spec field means "use the default", so a zero -T or -r would
+	// be solved at the spec's default instead of being rejected.
+	if *tFlag == 0 || *rFlag == 0 {
+		fmt.Fprintln(os.Stderr, "wssweep: -T and -r must be nonzero")
+		return 2
 	}
 
-	// Each swept value becomes one deferred row computation; they all run on
-	// the shared pool and land in their sweep-order slot.
-	var jobs []func() []string
-	addJob := func(fn func() []string) { jobs = append(jobs, fn) }
-
+	// Each swept value is one fixed-point spec, labelled in sweep order.
+	type row struct {
+		label string
+		spec  experiments.FixedPointSpec
+	}
+	var rows []row
+	add := func(label string, spec experiments.FixedPointSpec) { rows = append(rows, row{label, spec}) }
+	lam := *lambda
 	switch *sweep {
 	case "threshold":
 		for T := 2; T <= *maxV; T++ {
-			T := T
-			addJob(func() []string {
-				fp := meanfield.MustSolve(meanfield.NewThreshold(*lambda, T), meanfield.SolveOptions{})
-				return cells(fmt.Sprintf("T=%d", T), fp.SojournTime(), &fp, T)
-			})
+			add(fmt.Sprintf("T=%d", T), experiments.FixedPointSpec{Model: "threshold", Lambda: lam, T: T})
 		}
 	case "transfer-threshold":
 		for T := 2; T <= *maxV; T++ {
-			T := T
-			addJob(func() []string {
-				fp := meanfield.MustSolve(meanfield.NewTransfer(*lambda, T, *rFlag), meanfield.SolveOptions{})
-				return cells(fmt.Sprintf("T=%d", T), fp.SojournTime(), &fp, T)
-			})
+			add(fmt.Sprintf("T=%d", T), experiments.FixedPointSpec{Model: "transfer", Lambda: lam, T: T, R: *rFlag})
 		}
 	case "choices":
 		for d := 1; d <= *maxV; d++ {
-			d := d
-			addJob(func() []string {
-				fp := meanfield.MustSolve(meanfield.NewChoices(*lambda, 2, d), meanfield.SolveOptions{})
-				return cells(fmt.Sprintf("d=%d", d), fp.SojournTime(), &fp, 2)
-			})
+			add(fmt.Sprintf("d=%d", d), experiments.FixedPointSpec{Model: "choices", Lambda: lam, T: 2, D: d})
 		}
 	case "retry":
 		for _, r := range []float64{0, 0.25, 0.5, 1, 2, 4, 8, 16} {
-			r := r
-			addJob(func() []string {
-				fp := meanfield.MustSolve(meanfield.NewRepeated(*lambda, *tFlag, r), meanfield.SolveOptions{})
-				return cells(fmt.Sprintf("r=%g", r), fp.SojournTime(), &fp, *tFlag)
-			})
+			spec := experiments.FixedPointSpec{Model: "repeated", Lambda: lam, T: *tFlag, R: r}
+			if r == 0 {
+				// Repeated stealing without retries is threshold stealing
+				// (same kernel and start); a zero R would mean r = 1.
+				spec = experiments.FixedPointSpec{Model: "threshold", Lambda: lam, T: *tFlag}
+			}
+			add(fmt.Sprintf("r=%g", r), spec)
 		}
 	case "multisteal":
 		for k := 1; 2*k <= *tFlag; k++ {
-			k := k
-			addJob(func() []string {
-				fp := meanfield.MustSolve(meanfield.NewMultiSteal(*lambda, *tFlag, k), meanfield.SolveOptions{})
-				return cells(fmt.Sprintf("k=%d", k), fp.SojournTime(), &fp, *tFlag)
-			})
+			add(fmt.Sprintf("k=%d", k), experiments.FixedPointSpec{Model: "multisteal", Lambda: lam, T: *tFlag, K: k})
 		}
-		addJob(func() []string {
-			half := meanfield.MustSolve(meanfield.NewStealHalf(*lambda, *tFlag), meanfield.SolveOptions{})
-			return cells("k=⌈j/2⌉", half.SojournTime(), &half, *tFlag)
-		})
+		add("k=⌈j/2⌉", experiments.FixedPointSpec{Model: "stealhalf", Lambda: lam, T: *tFlag})
 	case "lambda":
 		switch *model {
 		case "nosteal", "simple", "choices":
@@ -144,38 +119,52 @@ func run() (code int) {
 			fmt.Fprintf(os.Stderr, "wssweep: unknown model %q\n", *model)
 			return 2
 		}
-		for _, lam := range []float64{0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99} {
-			lam := lam
-			addJob(func() []string {
-				var v float64
-				var fp *core.FixedPoint
-				switch *model {
-				case "nosteal":
-					v = meanfield.MM1SojournTime(lam)
-				case "simple":
-					s := meanfield.MustSolve(meanfield.NewSimpleWS(lam), meanfield.SolveOptions{})
-					v, fp = s.SojournTime(), &s
-				case "choices":
-					s := meanfield.MustSolve(meanfield.NewChoices(lam, 2, 2), meanfield.SolveOptions{})
-					v, fp = s.SojournTime(), &s
-				}
-				return cells(fmt.Sprintf("λ=%g", lam), v, fp, 2)
-			})
+		for _, l := range []float64{0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99} {
+			add(fmt.Sprintf("λ=%g", l), experiments.FixedPointSpec{Model: *model, Lambda: l})
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "wssweep: unknown sweep %q\n", *sweep)
 		return 2
 	}
+	// Reject the whole sweep on the first bad row, before any solve.
+	for i := range rows {
+		if _, err := rows[i].spec.BuildModel(); err != nil {
+			fmt.Fprintf(os.Stderr, "wssweep: %s: %v\n", rows[i].label, err)
+			return 2
+		}
+	}
 
-	rows := make([][]string, len(jobs))
+	// The rows solve in parallel on the shared pool, each into its
+	// sweep-order slot.
+	fps := make([]core.FixedPoint, len(rows))
+	errs := make([]error, len(rows))
 	pool := sched.New(*workers)
-	for i, job := range jobs {
-		i, job := i, job
-		pool.Go(func(*sim.Runner) { rows[i] = job() })
+	for i := range rows {
+		pool.Go(func(*sim.Runner) { _, fps[i], errs[i] = rows[i].spec.Solve() })
 	}
 	pool.Close() // waits for every job
-	for _, r := range rows {
-		t.AddRow(r...)
+
+	headers := []string{"value", "E[T]"}
+	if *metricsFlag {
+		headers = append(headers, "E[L]", "utilization", "s_T")
+	}
+	t := table.New(fmt.Sprintf("Sweep %s (λ = %g)", *sweep, *lambda), headers...)
+	for i, r := range rows {
+		if errs[i] != nil {
+			fmt.Fprintf(os.Stderr, "wssweep: %s: %v\n", r.label, errs[i])
+			return 1
+		}
+		fp := fps[i]
+		cells := []string{r.label, fmt.Sprintf("%.4f", fp.SojournTime())}
+		if *metricsFlag {
+			sT := "-"
+			if p, ok := fp.StealSuccessProb(r.spec.T); ok {
+				sT = fmt.Sprintf("%.4f", p)
+			}
+			cells = append(cells, fmt.Sprintf("%.4f", fp.MeanTasks()),
+				fmt.Sprintf("%.4f", fp.BusyFraction()), sT)
+		}
+		t.AddRow(cells...)
 	}
 
 	if *jsonFlag {
