@@ -40,9 +40,6 @@ type Options struct {
 	Memory int
 	// MaxIter bounds the outer iterations. Zero defaults to 500.
 	MaxIter int
-	// Damping in (0, 1] mixes the accelerated update with the previous
-	// iterate; 1 is undamped. Zero defaults to 1.
-	Damping float64
 	// Project restores feasibility of an iterate in place (may be nil).
 	Project func(x []float64)
 	// Perturb, when non-nil, is invoked on the starting point and on every
@@ -67,9 +64,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.MaxIter == 0 {
 		o.MaxIter = 500
-	}
-	if o.Damping == 0 {
-		o.Damping = 1
 	}
 }
 
@@ -157,7 +151,7 @@ func FixedPoint(f ode.System, x0 []float64, opt Options) (Result, error) {
 			histG = histG[1:]
 		}
 
-		next := andersonMix(histX, histG, opt.Damping)
+		next := andersonMix(histX, histG)
 		if next == nil {
 			// Degenerate least-squares system: fall back to plain Picard.
 			next = append([]float64(nil), g...)
@@ -188,21 +182,26 @@ func FixedPoint(f ode.System, x0 []float64, opt Options) (Result, error) {
 		fmt.Errorf("%w: residual %.3e after %d iterations", ErrNotConverged, bestRes, opt.MaxIter)
 }
 
+// mixBeta is the Anderson mixing parameter β: 1 mixes the Picard images
+// alone. The (1−β)·x_j term stays in the mix so iterates keep their exact
+// bits (0·x is −0 for negative x and NaN for infinite x).
+const mixBeta = 1.0
+
 // andersonMix computes the Anderson-accelerated next iterate from the
 // history of iterates xs and their Picard images gs. With residuals
 // r_j = g_j − x_j it solves
 //
 //	min_α ‖Σ_j α_j r_j‖₂  subject to  Σ_j α_j = 1
 //
-// and returns Σ_j α_j ((1−β) x_j + β g_j). Returns nil if the normal
-// equations are singular.
-func andersonMix(xs, gs [][]float64, beta float64) []float64 {
+// and returns Σ_j α_j ((1−β) x_j + β g_j) with β = mixBeta. Returns nil if
+// the normal equations are singular.
+func andersonMix(xs, gs [][]float64) []float64 {
 	k := len(xs)
 	n := len(xs[0])
 	if k == 1 {
 		out := make([]float64, n)
 		for i := 0; i < n; i++ {
-			out[i] = (1-beta)*xs[0][i] + beta*gs[0][i]
+			out[i] = (1-mixBeta)*xs[0][i] + mixBeta*gs[0][i]
 		}
 		return out
 	}
@@ -263,7 +262,7 @@ func andersonMix(xs, gs [][]float64, beta float64) []float64 {
 			continue
 		}
 		for i := 0; i < n; i++ {
-			out[i] += alpha[j] * ((1-beta)*xs[j][i] + beta*gs[j][i])
+			out[i] += alpha[j] * ((1-mixBeta)*xs[j][i] + mixBeta*gs[j][i])
 		}
 	}
 	return out
