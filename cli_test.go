@@ -252,6 +252,34 @@ func TestCLIWssweepBadRowExits2(t *testing.T) {
 	}
 }
 
+// TestCLIExplicitZeroExits2 checks that wsfixed and wsode reject a flag
+// set to zero on the command line: the spec would read the zero as "use
+// the default" and solve a different model (r = 1, T = 2, span 200).
+func TestCLIExplicitZeroExits2(t *testing.T) {
+	for _, c := range []struct {
+		cmd  string
+		args []string
+		msg  string
+	}{
+		{"wsfixed", []string{"-model", "repeated", "-r", "0"}, "-r must be nonzero"},
+		{"wsfixed", []string{"-model", "threshold", "-T", "0"}, "-T must be nonzero"},
+		{"wsfixed", []string{"-model", "spawning", "-li", "0"}, "use -model threshold"},
+		{"wsode", []string{"-span", "0"}, "-span must be nonzero"},
+	} {
+		cmd := exec.Command(filepath.Join(buildCmds(t), c.cmd), c.args...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 {
+			t.Errorf("%s %v: want exit 2, got %v", c.cmd, c.args, err)
+		}
+		if len(out) != 0 || !strings.Contains(stderr.String(), c.msg) {
+			t.Errorf("%s %v: want no output and %q, got\n%s%s", c.cmd, c.args, c.msg, out, stderr.String())
+		}
+	}
+}
+
 func TestCLIWssimMetrics(t *testing.T) {
 	out := run(t, "wssim", "-n", "16", "-lambda", "0.7", "-policy", "steal", "-T", "2",
 		"-horizon", "2000", "-warmup", "200", "-reps", "2", "-metrics")

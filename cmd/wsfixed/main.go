@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/cliutil"
 	"repro/internal/experiments"
@@ -50,6 +51,17 @@ func run() int {
 	metricsFlag := flag.Bool("metrics", false, "print the fixed point's observable metrics (utilization, idle fraction, steal success s_T)")
 	jsonFlag := flag.Bool("json", false, "emit the fixed point as JSON")
 	flag.Parse()
+
+	// The spec reads a zero field as "use the default", so an explicit zero
+	// would solve a model other than the one asked for.
+	if name := explicitZero("T", "d", "k", "c", "r", "ra", "li", "tails"); name != "" {
+		msg := "-" + name + " must be nonzero"
+		if name == "li" {
+			msg = "-li 0 is threshold stealing: use -model threshold"
+		}
+		fmt.Fprintln(os.Stderr, "wsfixed:", msg)
+		return 2
+	}
 
 	rep, fp, err := spec.Solve()
 	if err != nil {
@@ -87,4 +99,16 @@ func run() int {
 		fmt.Printf("  π_%-3d = %.8f\n", i, fp.State[i])
 	}
 	return 0
+}
+
+// explicitZero returns the first of the named flags that the command line
+// set to zero, or "" when none was.
+func explicitZero(names ...string) (zero string) {
+	flag.Visit(func(f *flag.Flag) {
+		g, ok := f.Value.(flag.Getter)
+		if ok && zero == "" && slices.Contains(names, f.Name) && (g.Get() == 0 || g.Get() == 0.0) {
+			zero = f.Name
+		}
+	})
+	return zero
 }

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/asciiplot"
 	"repro/internal/cliutil"
@@ -40,6 +41,13 @@ func run() int {
 	metricsFlag := flag.Bool("metrics", false, "print convergence metrics of the trajectory instead of CSV")
 	jsonFlag := flag.Bool("json", false, "emit the trajectory (and metrics) as JSON")
 	flag.Parse()
+
+	// The spec reads a zero field as "use the default", so an explicit zero
+	// would solve a model other than the one asked for.
+	if name := explicitZero("T", "d", "span", "dt"); name != "" {
+		fmt.Fprintf(os.Stderr, "wsode: -%s must be nonzero\n", name)
+		return 2
+	}
 
 	rep, err := spec.Integrate()
 	if err != nil {
@@ -87,4 +95,16 @@ func run() int {
 			times[i], loads[i], loads[i]/spec.Lambda, dists[i])
 	}
 	return 0
+}
+
+// explicitZero returns the first of the named flags that the command line
+// set to zero, or "" when none was.
+func explicitZero(names ...string) (zero string) {
+	flag.Visit(func(f *flag.Flag) {
+		g, ok := f.Value.(flag.Getter)
+		if ok && zero == "" && slices.Contains(names, f.Name) && (g.Get() == 0 || g.Get() == 0.0) {
+			zero = f.Name
+		}
+	})
+	return zero
 }

@@ -53,7 +53,10 @@ func powd(v float64, d int) float64 {
 
 // Derivs implements the system above with boundary s_{dim} = 0. Levels
 // below T carry no steal term, and a level's (1−s_{i+1})^d is the next
-// level's (1−s_i)^d, so each power is computed once.
+// level's (1−s_i)^d, so each power is computed once. Both bands run as
+// loops over equal-length windows up to the last level, which keeps the
+// generic form; for d = 2 the steal band computes powd's v*v inline
+// (DESIGN §17).
 func (m *Choices) Derivs(x, dx []float64) {
 	lambda := m.lambda
 	n := len(x)
@@ -68,10 +71,34 @@ func (m *Choices) Derivs(x, dx []float64) {
 	pw := powd(1-at(m.t), m.d)
 	dx[0] = 0
 	dx[1] = lambda*(x[0]-x[1]) - (x[1]-x[2])*pw
-	for i := 2; i < t; i++ {
+	mid := max(min(m.t, n-1), 2)
+	if 2 < mid {
+		d := dx[2:mid]
+		xm, x0, x1 := x[1:mid-1], x[2:mid], x[3:mid+1]
+		xm, x0, x1 = xm[:len(d)], x0[:len(d)], x1[:len(d)]
+		for j := range d {
+			d[j] = lambda*(xm[j]-x0[j]) - (x0[j] - x1[j])
+		}
+	}
+	for i := mid; i < t; i++ {
 		dx[i] = lambda*(x[i-1]-x[i]) - (x[i] - at(i+1))
 	}
-	for i := t; i < n; i++ {
+	from := t
+	if m.d == 2 && t < n-1 {
+		d := dx[t : n-1]
+		xm, x0, x1 := x[t-1:n-2], x[t:n-1], x[t+1:n]
+		xm, x0, x1 = xm[:len(d)], x0[:len(d)], x1[:len(d)]
+		for j := range d {
+			u := 1 - x1[j]
+			pn := u * u
+			v := lambda*(xm[j]-x0[j]) - (x0[j] - x1[j])
+			v -= (pn - pw) * theta
+			d[j] = v
+			pw = pn
+		}
+		from = n - 1
+	}
+	for i := from; i < n; i++ {
 		next := at(i + 1)
 		pn := powd(1-next, m.d)
 		d := lambda*(x[i-1]-x[i]) - (x[i] - next)

@@ -217,8 +217,8 @@ func TestRebalanceDerivsLockstep(t *testing.T) {
 func TestChoicesDerivsLockstep(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 17))
 	for trial := 0; trial < 4000; trial++ {
-		tt, d := 2+r.IntN(5), 1+r.IntN(4)
-		n := 3 + r.IntN(60)
+		n, d := 3+r.IntN(60), 1+r.IntN(4)
+		tt := nearDim(r, n)
 		m := &Choices{tails: tails{base: base{lambda: 0.05 + 0.94*r.Float64()}, t: tt}, d: d}
 		name := fmt.Sprintf("choices(T=%d,d=%d)", tt, d)
 		lockstep(t, name, kernelState(r, n), m.Derivs, func(x, dx []float64) { refChoicesDerivs(m, x, dx) })

@@ -37,6 +37,12 @@ func NewMultiSteal(lambda float64, t, k int) *MultiSteal {
 }
 
 // Derivs implements the five-band system with boundary s_{dim} = 0.
+//
+// Every dx[i] keeps its band's expression (DESIGN §17). On the last band's
+// interior T+1 ≤ i < n−k both s_{i+1} and s_{i+k} are in range, so it runs
+// as one loop over equal-length windows x[i−1:], x[i:], x[i+1:], x[i+k:]
+// with neither the band switch nor bounds checks; the levels around it
+// keep the generic form.
 func (m *MultiSteal) Derivs(x, dx []float64) {
 	lambda := m.lambda
 	n := len(x)
@@ -48,9 +54,7 @@ func (m *MultiSteal) Derivs(x, dx []float64) {
 	}
 	theta := x[1] - x[2]
 	sT := at(m.t)
-	dx[0] = 0
-	dx[1] = lambda*(x[0]-x[1]) - (x[1]-x[2])*(1-sT)
-	for i := 2; i < n; i++ {
+	generic := func(i int) {
 		d := lambda*(x[i-1]-x[i]) - (x[i] - at(i+1))
 		switch {
 		case i <= m.k:
@@ -66,5 +70,28 @@ func (m *MultiSteal) Derivs(x, dx []float64) {
 			d -= theta * (x[i] - at(i+m.k))
 		}
 		dx[i] = d
+	}
+	// The interior is [from, to).
+	from, to := min(m.t+1, n), n-m.k
+	if to < from {
+		to = from
+	}
+	dx[0] = 0
+	dx[1] = lambda*(x[0]-x[1]) - (x[1]-x[2])*(1-sT)
+	for i := 2; i < from; i++ {
+		generic(i)
+	}
+	if from < to {
+		d := dx[from:to]
+		xm, x0, x1, xk := x[from-1:to-1], x[from:to], x[from+1:to+1], x[from+m.k:to+m.k]
+		xm, x0, x1, xk = xm[:len(d)], x0[:len(d)], x1[:len(d)], xk[:len(d)]
+		for j := range d {
+			v := lambda*(xm[j]-x0[j]) - (x0[j] - x1[j])
+			v -= theta * (x0[j] - xk[j])
+			d[j] = v
+		}
+	}
+	for i := to; i < n; i++ {
+		generic(i)
 	}
 }

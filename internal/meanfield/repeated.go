@@ -105,6 +105,14 @@ func newRepeated(name string, lambda float64, t int, r float64, start func(tails
 func (m *Repeated) MaxRate() float64 { return 4 + m.r }
 
 // Derivs implements the system above with boundary s_{dim} = 0.
+//
+// Every dx[i] keeps the per-level expression and its order of operations
+// (DESIGN §17). Levels 2..T−1 carry no steal term and the interior
+// T ≤ i < n−1 always does, so each is one loop over equal-length windows
+// x[i−1:], x[i:], x[i+1:] with neither the test nor bounds checks. The
+// last level, where s_{i+1} leaves the vector, keeps the generic form. No
+// stealing sets T to the dimension, so all of its levels but the last
+// take the no-steal loop.
 func (m *Repeated) Derivs(x, dx []float64) {
 	lam1, lamBusy := m.lam1, m.lamBusy
 	n := len(x)
@@ -121,7 +129,28 @@ func (m *Repeated) Derivs(x, dx []float64) {
 
 	dx[0] = 0
 	dx[1] = lam1*(x[0]-x[1]) + m.r*idle*sT - emptying*(1-sT)
-	for i := 2; i < n; i++ {
+	// Levels [2, mid) take no steal term, [mid, n−1) always take it.
+	mid := max(min(m.t, n-1), 2)
+	if 2 < mid {
+		d := dx[2:mid]
+		xm, x0, x1 := x[1:mid-1], x[2:mid], x[3:mid+1]
+		xm, x0, x1 = xm[:len(d)], x0[:len(d)], x1[:len(d)]
+		for j := range d {
+			d[j] = lamBusy*(xm[j]-x0[j]) - (x0[j] - x1[j])
+		}
+	}
+	if mid < n-1 {
+		d := dx[mid : n-1]
+		xm, x0, x1 := x[mid-1:n-2], x[mid:n-1], x[mid+1:n]
+		xm, x0, x1 = xm[:len(d)], x0[:len(d)], x1[:len(d)]
+		for j := range d {
+			gap := x0[j] - x1[j]
+			v := lamBusy*(xm[j]-x0[j]) - gap
+			v -= gap * thieves
+			d[j] = v
+		}
+	}
+	for i := max(n-1, 2); i < n; i++ {
 		gap := x[i] - at(i+1)
 		d := lamBusy*(x[i-1]-x[i]) - gap
 		if i >= m.t {

@@ -120,6 +120,11 @@ func (m *RepeatedTransfer) WarmStart() []float64 {
 }
 
 // Derivs implements the combined system with boundary s_l = w_l = 0.
+//
+// As in Repeated.Derivs, every level keeps its expression (DESIGN §17):
+// in each vector the levels below T take no steal term and the interior
+// T ≤ i < l−1 always does, each as one loop over equal-length windows,
+// and the last level keeps the generic form.
 func (m *RepeatedTransfer) Derivs(x, dx []float64) {
 	lambda, ra, rt := m.lambda, m.ra, m.rt
 	s, w := m.Split(x)
@@ -136,7 +141,28 @@ func (m *RepeatedTransfer) Derivs(x, dx []float64) {
 
 	ds[0] = rt*w[0] - theta*succ
 	ds[1] = lambda*(s[0]-s[1]) + rt*w[0] - (s[1] - at(s, 2))
-	for i := 2; i < l; i++ {
+	// s levels [2, mid) take no steal term, [mid, l−1) always take it.
+	mid := max(min(m.t, l-1), 2)
+	if 2 < mid {
+		d := ds[2:mid]
+		sm, s0, s1, wm := s[1:mid-1], s[2:mid], s[3:mid+1], w[1:mid-1]
+		sm, s0, s1, wm = sm[:len(d)], s0[:len(d)], s1[:len(d)], wm[:len(d)]
+		for j := range d {
+			d[j] = lambda*(sm[j]-s0[j]) + rt*wm[j] - (s0[j] - s1[j])
+		}
+	}
+	if mid < l-1 {
+		d := ds[mid : l-1]
+		sm, s0, s1, wm := s[mid-1:l-2], s[mid:l-1], s[mid+1:l], w[mid-1:l-2]
+		sm, s0, s1, wm = sm[:len(d)], s0[:len(d)], s1[:len(d)], wm[:len(d)]
+		for j := range d {
+			gap := s0[j] - s1[j]
+			v := lambda*(sm[j]-s0[j]) + rt*wm[j] - gap
+			v -= gap * theta
+			d[j] = v
+		}
+	}
+	for i := max(l-1, 2); i < l; i++ {
 		gap := s[i] - at(s, i+1)
 		d := lambda*(s[i-1]-s[i]) + rt*w[i-1] - gap
 		if i >= m.t {
@@ -144,8 +170,30 @@ func (m *RepeatedTransfer) Derivs(x, dx []float64) {
 		}
 		ds[i] = d
 	}
+
 	dw[0] = -rt*w[0] + theta*succ
-	for i := 1; i < l; i++ {
+	// w levels [1, mid) take no steal term, [mid, l−1) always take it.
+	mid = max(min(m.t, l-1), 1)
+	if 1 < mid {
+		d := dw[1:mid]
+		wm, w0, w1 := w[0:mid-1], w[1:mid], w[2:mid+1]
+		wm, w0, w1 = wm[:len(d)], w0[:len(d)], w1[:len(d)]
+		for j := range d {
+			d[j] = lambda*(wm[j]-w0[j]) - rt*w0[j] - (w0[j] - w1[j])
+		}
+	}
+	if mid < l-1 {
+		d := dw[mid : l-1]
+		wm, w0, w1 := w[mid-1:l-2], w[mid:l-1], w[mid+1:l]
+		wm, w0, w1 = wm[:len(d)], w0[:len(d)], w1[:len(d)]
+		for j := range d {
+			gap := w0[j] - w1[j]
+			v := lambda*(wm[j]-w0[j]) - rt*w0[j] - gap
+			v -= gap * theta
+			d[j] = v
+		}
+	}
+	for i := max(l-1, 1); i < l; i++ {
 		gap := w[i] - at(w, i+1)
 		d := lambda*(w[i-1]-w[i]) - rt*w[i] - gap
 		if i >= m.t {

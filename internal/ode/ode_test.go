@@ -2,6 +2,7 @@ package ode
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/numeric"
@@ -116,6 +117,80 @@ func TestIntegrateToSteadyTimeout(t *testing.T) {
 	_, ok := IntegrateToSteady(grow, x, SteadyOptions{Tol: 1e-9, Step: 0.1, MaxTime: 10})
 	if ok {
 		t.Error("claimed convergence for non-converging system")
+	}
+}
+
+// refRK4 is the step with h/2 and h/6 evaluated inside the loops, the
+// oracle for RK4's hoisted constants.
+func refRK4(f System, x []float64, h float64, s *RK4Scratch) {
+	n := len(x)
+	k1, k2, k3, k4, tmp := s.k1[:n], s.k2[:n], s.k3[:n], s.k4[:n], s.tmp[:n]
+	f(x, k1)
+	for i := 0; i < n; i++ {
+		tmp[i] = x[i] + h/2*k1[i]
+	}
+	f(tmp, k2)
+	for i := 0; i < n; i++ {
+		tmp[i] = x[i] + h/2*k2[i]
+	}
+	f(tmp, k3)
+	for i := 0; i < n; i++ {
+		tmp[i] = x[i] + h*k3[i]
+	}
+	f(tmp, k4)
+	for i := 0; i < n; i++ {
+		x[i] += h / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
+	}
+}
+
+// TestRK4StepLockstep runs RK4 and refRK4 side by side for a few steps of
+// a nonlinear birth–death system, from states with zeros, 1e-30 entries,
+// non-monotone noise and planted NaN or ±Inf, at step sizes that are not
+// powers of two (h/6 rounds), and requires equal bits after every step.
+func TestRK4StepLockstep(t *testing.T) {
+	r := rand.New(rand.NewPCG(8, 17))
+	for trial := 0; trial < 2000; trial++ {
+		n := 3 + r.IntN(40)
+		lam, b := 0.05+0.94*r.Float64(), r.Float64()
+		f := func(x, dx []float64) {
+			dx[0] = 0
+			for i := 1; i < len(x); i++ {
+				next := 0.0
+				if i+1 < len(x) {
+					next = x[i+1]
+				}
+				dx[i] = lam*(x[i-1]-x[i]) - (x[i] - next) - b*x[1]*x[i]
+			}
+		}
+		x := make([]float64, n)
+		for i := range x {
+			switch r.IntN(4) {
+			case 0:
+				x[i] = 0
+			case 1:
+				x[i] = 1e-30 * r.Float64()
+			default:
+				x[i] = -0.2 + 1.4*r.Float64()
+			}
+		}
+		if r.IntN(4) == 0 {
+			poison := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+			x[r.IntN(n)] = poison[r.IntN(len(poison))]
+		}
+		h := []float64{0.1, 1.0 / 3, 0.0734, 2.0 / 7}[r.IntN(4)] * (0.5 + r.Float64())
+		got, want := append([]float64(nil), x...), append([]float64(nil), x...)
+		sg, sw := NewRK4Scratch(n), NewRK4Scratch(n)
+		for step := 0; step < 4; step++ {
+			RK4(f, got, h, sg)
+			refRK4(f, want, h, sw)
+			for i := range want {
+				g, w := got[i], want[i]
+				if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+					t.Fatalf("trial %d step %d: x[%d] = %v (%#x), reference %v (%#x)",
+						trial, step, i, g, math.Float64bits(g), w, math.Float64bits(w))
+				}
+			}
+		}
 	}
 }
 

@@ -93,10 +93,8 @@ func FixedPoint(f ode.System, x0 []float64, opt Options) (Result, error) {
 	x := append([]float64(nil), x0...)
 	dx := make([]float64, n)
 
-	// History ring buffers for Anderson mixing: iterates and their images.
-	m := opt.Memory
-	histX := make([][]float64, 0, m+1)
-	histG := make([][]float64, 0, m+1)
+	// The Anderson history and scratch belong to this solve.
+	mix := newAnderson(opt.Memory)
 
 	g := make([]float64, n)
 	scratch := ode.NewRK4Scratch(n)
@@ -143,23 +141,15 @@ func FixedPoint(f ode.System, x0 []float64, opt Options) (Result, error) {
 		}
 		applyG(x, g)
 
-		// Record history (copy; ring of size m+1).
-		histX = append(histX, append([]float64(nil), x...))
-		histG = append(histG, append([]float64(nil), g...))
-		if len(histX) > m+1 {
-			histX = histX[1:]
-			histG = histG[1:]
-		}
-
-		next := andersonMix(histX, histG)
-		if next == nil {
+		mix.record(x, g)
+		// x is in the history now, so the mix may overwrite it.
+		if !mix.next(x) {
 			// Degenerate least-squares system: fall back to plain Picard.
-			next = append([]float64(nil), g...)
+			copy(x, g)
 		}
 		if opt.Project != nil {
-			opt.Project(next)
+			opt.Project(x)
 		}
-		x = next
 		if opt.Perturb != nil {
 			opt.Perturb(x)
 		}
@@ -171,8 +161,7 @@ func FixedPoint(f ode.System, x0 []float64, opt Options) (Result, error) {
 			// Acceleration went unstable: restart from the best point with a
 			// cleared history.
 			copy(x, best)
-			histX = histX[:0]
-			histG = histG[:0]
+			mix.clear()
 		}
 	}
 	if bestRes < opt.Tol {
@@ -182,62 +171,118 @@ func FixedPoint(f ode.System, x0 []float64, opt Options) (Result, error) {
 		fmt.Errorf("%w: residual %.3e after %d iterations", ErrNotConverged, bestRes, opt.MaxIter)
 }
 
+// anderson holds the mixing history of one solve, the last m+1 iterates
+// x_j and their Picard images g_j, oldest first, with the scratch of the
+// normal equations, so an iteration allocates nothing once the ring is
+// full.
+type anderson struct {
+	xs, gs [][]float64 // len ≤ m+1; buffers past len are kept for reuse
+	dv     []float64   // d_j at one index i, j < k−1
+	dots   []numeric.KahanSum
+	a      [][]float64
+	b      []float64
+	alpha  []float64
+}
+
+func newAnderson(m int) *anderson {
+	w := &anderson{
+		xs:    make([][]float64, 0, m+1),
+		gs:    make([][]float64, 0, m+1),
+		dv:    make([]float64, m),
+		dots:  make([]numeric.KahanSum, m*(m+1)/2+m),
+		a:     make([][]float64, m),
+		b:     make([]float64, m),
+		alpha: make([]float64, m+1),
+	}
+	for j := range w.a {
+		w.a[j] = make([]float64, m)
+	}
+	return w
+}
+
+// record appends copies of x and its image g to the history, reusing the
+// oldest entry's buffers once m+1 are held.
+func (w *anderson) record(x, g []float64) {
+	w.xs = pushCopy(w.xs, x)
+	w.gs = pushCopy(w.gs, g)
+}
+
+func pushCopy(hist [][]float64, v []float64) [][]float64 {
+	if len(hist) == cap(hist) {
+		oldest := hist[0]
+		copy(hist, hist[1:])
+		hist[len(hist)-1] = oldest
+	} else {
+		hist = hist[:len(hist)+1]
+		if hist[len(hist)-1] == nil {
+			hist[len(hist)-1] = make([]float64, len(v))
+		}
+	}
+	copy(hist[len(hist)-1], v)
+	return hist
+}
+
+// clear empties the history, keeping its buffers.
+func (w *anderson) clear() {
+	w.xs, w.gs = w.xs[:0], w.gs[:0]
+}
+
 // mixBeta is the Anderson mixing parameter β: 1 mixes the Picard images
 // alone. The (1−β)·x_j term stays in the mix so iterates keep their exact
 // bits (0·x is −0 for negative x and NaN for infinite x).
 const mixBeta = 1.0
 
-// andersonMix computes the Anderson-accelerated next iterate from the
-// history of iterates xs and their Picard images gs. With residuals
-// r_j = g_j − x_j it solves
+// next writes the Anderson-accelerated next iterate into out, which must
+// not be one of the history buffers. With residuals r_j = g_j − x_j it
+// solves
 //
 //	min_α ‖Σ_j α_j r_j‖₂  subject to  Σ_j α_j = 1
 //
-// and returns Σ_j α_j ((1−β) x_j + β g_j) with β = mixBeta. Returns nil if
-// the normal equations are singular.
-func andersonMix(xs, gs [][]float64) []float64 {
+// and writes Σ_j α_j ((1−β) x_j + β g_j) with β = mixBeta. It reports
+// false, leaving out untouched, if the normal equations are singular.
+func (w *anderson) next(out []float64) bool {
+	xs, gs := w.xs, w.gs
 	k := len(xs)
-	n := len(xs[0])
+	n := len(out)
 	if k == 1 {
-		out := make([]float64, n)
 		for i := 0; i < n; i++ {
 			out[i] = (1-mixBeta)*xs[0][i] + mixBeta*gs[0][i]
 		}
-		return out
+		return true
 	}
 	// Residuals relative to the newest: substitute α_last = 1 − Σ others and
 	// minimize over the k−1 free coefficients γ via normal equations on
-	// d_j = r_j − r_last.
-	last := k - 1
-	rLast := make([]float64, n)
+	// d_j = r_j − r_last. One pass over i feeds every dot product's Kahan
+	// accumulator in index order, as separate passes would.
+	last, free := k-1, k-1
+	dv, dots := w.dv[:free], w.dots[:free*(free+1)/2+free]
+	clear(dots)
+	bdots := dots[free*(free+1)/2:]
 	for i := 0; i < n; i++ {
-		rLast[i] = gs[last][i] - xs[last][i]
-	}
-	d := make([][]float64, k-1)
-	for j := 0; j < k-1; j++ {
-		d[j] = make([]float64, n)
-		for i := 0; i < n; i++ {
-			d[j][i] = (gs[j][i] - xs[j][i]) - rLast[i]
+		rLast := gs[last][i] - xs[last][i]
+		for j := range dv {
+			dv[j] = (gs[j][i] - xs[j][i]) - rLast
+		}
+		p := 0
+		for j, dj := range dv {
+			for l := 0; l <= j; l++ {
+				dots[p].Add(dj * dv[l])
+				p++
+			}
+			bdots[j].Add(dj * rLast)
 		}
 	}
 	// Normal equations A γ = b with A = DᵀD, b = −Dᵀ r_last.
-	a := make([][]float64, k-1)
-	b := make([]float64, k-1)
-	for j := 0; j < k-1; j++ {
-		a[j] = make([]float64, k-1)
+	a, b := w.a[:free], w.b[:free]
+	p := 0
+	for j := range a {
+		a[j] = a[j][:free]
 		for l := 0; l <= j; l++ {
-			var dot numeric.KahanSum
-			for i := 0; i < n; i++ {
-				dot.Add(d[j][i] * d[l][i])
-			}
-			a[j][l] = dot.Sum()
-			a[l][j] = dot.Sum()
+			a[j][l] = dots[p].Sum()
+			a[l][j] = dots[p].Sum()
+			p++
 		}
-		var dot numeric.KahanSum
-		for i := 0; i < n; i++ {
-			dot.Add(d[j][i] * rLast[i])
-		}
-		b[j] = -dot.Sum()
+		b[j] = -bdots[j].Sum()
 	}
 	// Tikhonov regularization keeps the tiny system well-posed.
 	reg := 1e-12 * (1 + a[0][0])
@@ -246,17 +291,17 @@ func andersonMix(xs, gs [][]float64) []float64 {
 	}
 	gamma, ok := solveDense(a, b)
 	if !ok {
-		return nil
+		return false
 	}
 	// α_j = γ_j for j < last, α_last = 1 − Σ γ.
-	alpha := make([]float64, k)
+	alpha := w.alpha[:k]
 	sum := 0.0
 	for j, gmm := range gamma {
 		alpha[j] = gmm
 		sum += gmm
 	}
 	alpha[last] = 1 - sum
-	out := make([]float64, n)
+	clear(out)
 	for j := 0; j < k; j++ {
 		if alpha[j] == 0 {
 			continue
@@ -265,11 +310,12 @@ func andersonMix(xs, gs [][]float64) []float64 {
 			out[i] += alpha[j] * ((1-mixBeta)*xs[j][i] + mixBeta*gs[j][i])
 		}
 	}
-	return out
+	return true
 }
 
 // solveDense solves the small dense system a·x = b in place by Gaussian
-// elimination with partial pivoting. Returns ok=false when singular.
+// elimination with partial pivoting, returning b overwritten with x.
+// Returns ok=false when singular.
 func solveDense(a [][]float64, b []float64) ([]float64, bool) {
 	n := len(b)
 	for col := 0; col < n; col++ {
@@ -297,7 +343,8 @@ func solveDense(a [][]float64, b []float64) ([]float64, bool) {
 			b[r] -= factor * b[col]
 		}
 	}
-	x := make([]float64, n)
+	// Back substitution overwrites b with the solution.
+	x := b
 	for r := n - 1; r >= 0; r-- {
 		acc := b[r]
 		for c := r + 1; c < n; c++ {
