@@ -169,12 +169,18 @@ func ValidateTails(s []float64, tol, tailTol float64) error {
 // clamps every entry to [0, 1], and enforces monotone non-increase by a
 // running minimum. It is the projection used by the Anderson solver for
 // single-vector models.
-func ProjectTails(s []float64) {
+func ProjectTails(s []float64) { ProjectTailsBelow(s, 1) }
+
+// ProjectTailsBelow is ProjectTails for a tail vector whose head is head
+// rather than 1 (one class or population of a split state): it pins
+// s[0] = head, clamps every other entry to [0, 1] and takes the running
+// minimum from head down.
+func ProjectTailsBelow(s []float64, head float64) {
 	if len(s) == 0 {
 		return
 	}
-	s[0] = 1
-	prev := 1.0
+	s[0] = head
+	prev := head
 	for i := 1; i < len(s); i++ {
 		v := numeric.Clamp(s[i], 0, 1)
 		if v > prev {

@@ -26,9 +26,6 @@ type Choices struct {
 // NewChoices constructs the d-choices model with arrival rate λ,
 // threshold T ≥ 2 and d ≥ 1 victim samples.
 func NewChoices(lambda float64, t, d int) *Choices {
-	if t < 2 {
-		panic("meanfield: Choices needs T >= 2")
-	}
 	if d < 1 {
 		panic("meanfield: Choices needs d >= 1")
 	}
@@ -60,15 +57,9 @@ func powd(v float64, d int) float64 {
 func (m *Choices) Derivs(x, dx []float64) {
 	lambda := m.lambda
 	n := len(x)
-	at := func(i int) float64 {
-		if i >= n {
-			return 0
-		}
-		return x[i]
-	}
 	theta := x[1] - x[2]
 	t := min(m.t, n)
-	pw := powd(1-at(m.t), m.d)
+	pw := powd(1-at(x, m.t), m.d)
 	dx[0] = 0
 	dx[1] = lambda*(x[0]-x[1]) - (x[1]-x[2])*pw
 	mid := max(min(m.t, n-1), 2)
@@ -81,7 +72,7 @@ func (m *Choices) Derivs(x, dx []float64) {
 		}
 	}
 	for i := mid; i < t; i++ {
-		dx[i] = lambda*(x[i-1]-x[i]) - (x[i] - at(i+1))
+		dx[i] = lambda*(x[i-1]-x[i]) - (x[i] - at(x, i+1))
 	}
 	from := t
 	if m.d == 2 && t < n-1 {
@@ -99,7 +90,7 @@ func (m *Choices) Derivs(x, dx []float64) {
 		from = n - 1
 	}
 	for i := from; i < n; i++ {
-		next := at(i + 1)
+		next := at(x, i+1)
 		pn := powd(1-next, m.d)
 		d := lambda*(x[i-1]-x[i]) - (x[i] - next)
 		d -= (pn - pw) * theta

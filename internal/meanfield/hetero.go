@@ -28,12 +28,10 @@ import (
 // below the total service capacity; individual classes may be overloaded as
 // long as stealing can drain them (the model exposes exactly this effect).
 type Hetero struct {
-	base
+	pair             // state is u[0:l] ++ v[0:l]
 	q        float64 // fraction of fast processors
 	lf, ls   float64 // per-processor arrival rates by class
 	muF, muS float64 // service rates by class
-	t        int
-	l        int // per-vector length; state is u[0:l] ++ v[0:l]
 }
 
 // NewHetero constructs the two-class model. q in (0,1) is the fast-class
@@ -46,9 +44,6 @@ func NewHetero(q, lf, ls, muF, muS float64, t int) *Hetero {
 	}
 	if lf < 0 || ls < 0 || muF <= 0 || muS <= 0 {
 		panic("meanfield: Hetero needs non-negative arrivals and positive service rates")
-	}
-	if t < 2 {
-		panic("meanfield: Hetero needs T >= 2")
 	}
 	arr := q*lf + (1-q)*ls
 	cap_ := q*muF + (1-q)*muS
@@ -64,14 +59,8 @@ func NewHetero(q, lf, ls, muF, muS float64, t int) *Hetero {
 	if l < t+8 {
 		l = t + 8
 	}
-	return &Hetero{
-		base: base{
-			name:   fmt.Sprintf("hetero(q=%g,λf=%g,λs=%g,μf=%g,μs=%g,T=%d)", q, lf, ls, muF, muS, t),
-			lambda: arr,
-			dim:    2 * l,
-		},
-		q: q, lf: lf, ls: ls, muF: muF, muS: muS, t: t, l: l,
-	}
+	name := fmt.Sprintf("hetero(q=%g,λf=%g,λs=%g,μf=%g,μs=%g,T=%d)", q, lf, ls, muF, muS, t)
+	return &Hetero{pair: newPair(name, arr, t, l), q: q, lf: lf, ls: ls, muF: muF, muS: muS}
 }
 
 // MaxRate bounds the per-component transition rates.
@@ -85,27 +74,6 @@ func (m *Hetero) MaxRate() float64 {
 		la = m.ls
 	}
 	return 2*(mu+la) + 2
-}
-
-// Split returns the fast (u) and slow (v) views of a state vector.
-func (m *Hetero) Split(x []float64) (u, v []float64) {
-	return x[:m.l], x[m.l : 2*m.l]
-}
-
-// BusyFraction reports u₁ + v₁: busy processors of either class
-// (core.Observer).
-func (m *Hetero) BusyFraction(x []float64) float64 {
-	u, v := m.Split(x)
-	return u[1] + v[1]
-}
-
-// StealSuccessProb reports S = u_T + v_T (core.Observer).
-func (m *Hetero) StealSuccessProb(x []float64) (float64, bool) {
-	if m.t >= m.l {
-		return 0, false
-	}
-	u, v := m.Split(x)
-	return u[m.t] + v[m.t], true
 }
 
 // Initial returns the empty system with class fractions in place.
@@ -136,19 +104,12 @@ func (m *Hetero) WarmStart() []float64 {
 func (m *Hetero) Derivs(x, dx []float64) {
 	u, v := m.Split(x)
 	du, dv := m.Split(dx)
-	l := m.l
-	at := func(s []float64, i int) float64 {
-		if i >= l {
-			return 0
-		}
-		return s[i]
-	}
 	theta := m.muF*(u[1]-at(u, 2)) + m.muS*(v[1]-at(v, 2))
 	succ := at(u, m.t) + at(v, m.t)
 	class := func(s, ds []float64, la, mu float64) {
 		ds[0] = 0
 		ds[1] = la*(s[0]-s[1]) - mu*(s[1]-at(s, 2))*(1-succ)
-		for i := 2; i < l; i++ {
+		for i := 2; i < len(s); i++ {
 			gap := s[i] - at(s, i+1)
 			d := la*(s[i-1]-s[i]) - mu*gap
 			if i >= m.t {
@@ -164,30 +125,13 @@ func (m *Hetero) Derivs(x, dx []float64) {
 // Project clamps each class tail below its (conserved) class fraction.
 func (m *Hetero) Project(x []float64) {
 	u, v := m.Split(x)
-	projectClass := func(s []float64, frac float64) {
-		s[0] = frac
-		prev := frac
-		for i := 1; i < m.l; i++ {
-			w := numeric.Clamp(s[i], 0, 1)
-			if w > prev {
-				w = prev
-			}
-			s[i] = w
-			prev = w
-		}
-	}
-	projectClass(u, m.q)
-	projectClass(v, 1-m.q)
+	core.ProjectTailsBelow(u, m.q)
+	core.ProjectTailsBelow(v, 1-m.q)
 }
 
 // MeanTasks returns expected tasks per processor across both classes.
 func (m *Hetero) MeanTasks(x []float64) float64 {
-	u, v := m.Split(x)
-	var sum numeric.KahanSum
-	for i := 1; i < m.l; i++ {
-		sum.Add(u[i])
-		sum.Add(v[i])
-	}
+	sum := m.levelSum(x)
 	return sum.Sum()
 }
 

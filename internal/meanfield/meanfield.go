@@ -33,7 +33,11 @@
 // the former). The constructors differ only in the model name, the
 // parameters and the warm start. Every model whose state is one
 // task-indexed tail vector embeds tails, which supplies the truncation,
-// initial state, projection, mean load and warm start.
+// initial state, projection, mean load and warm start; Hetero and
+// RepeatedTransfer, whose state is two such vectors, embed pair, which
+// supplies the split, the observers and the level sum. Both bases check
+// the victim threshold, and every kernel reads s_i = 0 past the
+// truncation through at.
 //
 // Every model implements core.Model; Solve finds its fixed point with the
 // Anderson-accelerated solver, and the closed forms in closedform.go provide
@@ -78,6 +82,23 @@ func (b base) Name() string         { return b.name }
 func (b base) ArrivalRate() float64 { return b.lambda }
 func (b base) Dim() int             { return b.dim }
 
+// at reads s_i with the boundary condition every kernel shares: s_i = 0
+// for i at or past the truncation.
+func at(x []float64, i int) float64 {
+	if i >= len(x) {
+		return 0
+	}
+	return x[i]
+}
+
+// checkThreshold panics unless the victim threshold T is at least 2: a
+// victim must keep a task after losing one.
+func checkThreshold(t int) {
+	if t < 2 {
+		panic(fmt.Sprintf("meanfield: threshold T = %d must be at least 2", t))
+	}
+}
+
 // tails is the base of every model whose state is one task-indexed tail
 // vector, s_i the fraction of processors holding at least i tasks.
 type tails struct {
@@ -86,8 +107,12 @@ type tails struct {
 	start func(tails) []float64 // Solve's starting point; nil starts empty
 }
 
-// newTails checks λ and sizes the tail vector with taskDim.
+// newTails checks λ and the threshold (0 for none, otherwise at least 2)
+// and sizes the tail vector with taskDim.
 func newTails(name string, lambda float64, t int, start func(tails) []float64) tails {
+	if t != 0 {
+		checkThreshold(t)
+	}
 	checkLambda(lambda)
 	return tails{base{name, lambda, taskDim(lambda, t)}, t, start}
 }
@@ -130,6 +155,58 @@ func (m tails) EmptyingRate(x []float64) float64 {
 
 // EmptyingRateBound returns 1, the unit service rate (core.StealCoupler).
 func (m tails) EmptyingRateBound() float64 { return 1 }
+
+// pair is the base of every model whose state is two task-indexed tail
+// vectors of l levels each, a and b stacked as a[0:l] ++ b[0:l] (the two
+// processor classes of Hetero, the populations not awaiting and awaiting
+// a stolen task of RepeatedTransfer). Both count absolute fractions, so
+// busy processors, successful steals and tasks are sums over the two.
+type pair struct {
+	base
+	t int // victim threshold
+	l int // per-vector length
+}
+
+// newPair checks the threshold and sizes the state at two vectors of l
+// levels.
+func newPair(name string, lambda float64, t, l int) pair {
+	checkThreshold(t)
+	return pair{base{name, lambda, 2 * l}, t, l}
+}
+
+// Split returns the two vectors' views of a state.
+func (m pair) Split(x []float64) (a, b []float64) {
+	return x[:m.l], x[m.l : 2*m.l]
+}
+
+// BusyFraction reports a₁ + b₁, busy processors in either vector
+// (core.Observer).
+func (m pair) BusyFraction(x []float64) float64 {
+	a, b := m.Split(x)
+	return a[1] + b[1]
+}
+
+// StealSuccessProb reports a_T + b_T, the chance that a victim drawn from
+// all processors holds at least T tasks (core.Observer).
+func (m pair) StealSuccessProb(x []float64) (float64, bool) {
+	if m.t >= m.l {
+		return 0, false
+	}
+	a, b := m.Split(x)
+	return a[m.t] + b[m.t], true
+}
+
+// levelSum accumulates Σ_{i≥1}(a_i + b_i), the tasks queued in both
+// vectors, adding both values of a level in turn.
+func (m pair) levelSum(x []float64) numeric.KahanSum {
+	a, b := m.Split(x)
+	var sum numeric.KahanSum
+	for i := 1; i < m.l; i++ {
+		sum.Add(a[i])
+		sum.Add(b[i])
+	}
+	return sum
+}
 
 // geometricStart is the no-stealing equilibrium π_i = λ^i, an upper bound
 // on every stealing equilibrium.

@@ -24,9 +24,6 @@ type MultiSteal struct {
 // NewMultiSteal constructs the model with arrival rate λ, threshold T ≥ 2,
 // and k tasks stolen per success, requiring 1 ≤ k ≤ T/2 as in the paper.
 func NewMultiSteal(lambda float64, t, k int) *MultiSteal {
-	if t < 2 {
-		panic("meanfield: MultiSteal needs T >= 2")
-	}
 	if k < 1 || 2*k > t {
 		panic(fmt.Sprintf("meanfield: MultiSteal needs 1 <= k <= T/2, got k=%d T=%d", k, t))
 	}
@@ -46,16 +43,10 @@ func NewMultiSteal(lambda float64, t, k int) *MultiSteal {
 func (m *MultiSteal) Derivs(x, dx []float64) {
 	lambda := m.lambda
 	n := len(x)
-	at := func(i int) float64 {
-		if i >= n {
-			return 0
-		}
-		return x[i]
-	}
 	theta := x[1] - x[2]
-	sT := at(m.t)
+	sT := at(x, m.t)
 	generic := func(i int) {
-		d := lambda*(x[i-1]-x[i]) - (x[i] - at(i+1))
+		d := lambda*(x[i-1]-x[i]) - (x[i] - at(x, i+1))
 		switch {
 		case i <= m.k:
 			// Thief gain: a successful steal jumps the thief 0 → k.
@@ -64,10 +55,10 @@ func (m *MultiSteal) Derivs(x, dx []float64) {
 			// Neither thieves nor victims cross level i.
 		case i <= m.t:
 			// Victims with loads in [T, i+k−1] drop below i.
-			d -= theta * (sT - at(i+m.k))
+			d -= theta * (sT - at(x, i+m.k))
 		default:
 			// Victims with loads in [i, i+k−1] drop below i.
-			d -= theta * (x[i] - at(i+m.k))
+			d -= theta * (x[i] - at(x, i+m.k))
 		}
 		dx[i] = d
 	}

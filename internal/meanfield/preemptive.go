@@ -45,28 +45,22 @@ func NewPreemptive(lambda float64, b, t int) *Preemptive {
 func (m *Preemptive) Derivs(x, dx []float64) {
 	lambda := m.lambda
 	n := len(x)
-	at := func(i int) float64 {
-		if i >= n {
-			return 0
-		}
-		return x[i]
-	}
 	dx[0] = 0
 	for i := 1; i < n; i++ {
-		gap := x[i] - at(i+1)
+		gap := x[i] - at(x, i+1)
 		d := lambda*(x[i-1]-x[i]) - gap
 		switch {
 		case i <= m.b+1:
 			// Completion is cancelled out when the post-completion steal
 			// succeeds: effective departure rate gap·(1 − s_{i+T−1}).
-			d += gap * at(i+m.t-1)
+			d += gap * at(x, i+m.t-1)
 		case i >= m.t:
 			// Victim loss to thieves dropping to loads 0..min(B, i−T).
 			hi := m.b + 2
 			if alt := i - m.t + 2; alt < hi {
 				hi = alt
 			}
-			d -= gap * (x[1] - at(hi))
+			d -= gap * (x[1] - at(x, hi))
 		}
 		dx[i] = d
 	}

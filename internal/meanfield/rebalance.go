@@ -73,11 +73,7 @@ func (m *Rebalance) Derivs(x, dx []float64) {
 	n := len(x)
 	dx[0] = 0
 	for i := 1; i < n; i++ {
-		next := 0.0
-		if i+1 < n {
-			next = x[i+1]
-		}
-		dx[i] = lambda*(x[i-1]-x[i]) - (x[i] - next)
+		dx[i] = lambda*(x[i-1]-x[i]) - (x[i] - at(x, i+1))
 	}
 	// Rebalancing generator over the PMF.
 	m.pmf = core.TailsToPMF(m.pmf[:0], x)

@@ -80,9 +80,6 @@ func NewSpawning(le, li float64, t int) *Repeated {
 	if le <= 0 || li < 0 || li >= 1 {
 		panic("meanfield: Spawning needs λe > 0 and 0 <= λi < 1")
 	}
-	if t < 2 {
-		panic("meanfield: Spawning needs T >= 2")
-	}
 	// ArrivalRate reports the total long-run task rate per processor
 	// λe + λi·P(busy) = λe + λi·ρ = ρ, so Little's law applies with this
 	// value; the warm start is the geometric profile at ρ.
@@ -92,9 +89,6 @@ func NewSpawning(le, li float64, t int) *Repeated {
 }
 
 func newRepeated(name string, lambda float64, t int, r float64, start func(tails) []float64) *Repeated {
-	if t < 2 {
-		panic(fmt.Sprintf("meanfield: threshold T = %d must be at least 2", t))
-	}
 	if r < 0 {
 		panic("meanfield: Repeated needs r >= 0")
 	}
@@ -116,13 +110,7 @@ func (m *Repeated) MaxRate() float64 { return 4 + m.r }
 func (m *Repeated) Derivs(x, dx []float64) {
 	lam1, lamBusy := m.lam1, m.lamBusy
 	n := len(x)
-	at := func(i int) float64 {
-		if i >= n {
-			return 0
-		}
-		return x[i]
-	}
-	sT := at(m.t)
+	sT := at(x, m.t)
 	emptying := x[1] - x[2] // processors completing their final task
 	idle := x[0] - x[1]     // empty processors retrying at rate r
 	thieves := emptying + m.r*idle
@@ -151,7 +139,7 @@ func (m *Repeated) Derivs(x, dx []float64) {
 		}
 	}
 	for i := max(n-1, 2); i < n; i++ {
-		gap := x[i] - at(i+1)
+		gap := x[i] - at(x, i+1)
 		d := lamBusy*(x[i-1]-x[i]) - gap
 		if i >= m.t {
 			d -= gap * thieves

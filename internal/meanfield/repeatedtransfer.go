@@ -36,10 +36,8 @@ import (
 // threshold rule of thumb: the best T is roughly 1/rt + 1 at low arrival
 // rates but grows at high ones (Table 3).
 type RepeatedTransfer struct {
-	base
-	t         int
+	pair      // state is s[0:l] ++ w[0:l]
 	ra, rt    float64
-	l         int  // per-vector length; state is s[0:l] ++ w[0:l]
 	geometric bool // warm-start from the no-stealing equilibrium
 }
 
@@ -60,39 +58,15 @@ func NewRepeatedTransfer(lambda float64, t int, ra, rt float64) *RepeatedTransfe
 }
 
 func newRepeatedTransfer(name string, lambda float64, t int, ra, rt float64, geometric bool) *RepeatedTransfer {
-	if t < 2 {
-		panic("meanfield: transfer models need T >= 2")
-	}
 	if ra < 0 || rt <= 0 {
 		panic("meanfield: transfer models need ra >= 0 and rt > 0")
 	}
 	checkLambda(lambda)
-	l := taskDim(lambda, t)
-	return &RepeatedTransfer{base{name, lambda, 2 * l}, t, ra, rt, l, geometric}
+	return &RepeatedTransfer{newPair(name, lambda, t, taskDim(lambda, t)), ra, rt, geometric}
 }
 
 // MaxRate bounds the per-component transition rates.
 func (m *RepeatedTransfer) MaxRate() float64 { return 4 + m.ra + m.rt }
-
-// Split returns the s (not awaiting) and w (awaiting) views of a state.
-func (m *RepeatedTransfer) Split(x []float64) (s, w []float64) {
-	return x[:m.l], x[m.l : 2*m.l]
-}
-
-// BusyFraction reports s₁ + w₁ across both populations (core.Observer).
-func (m *RepeatedTransfer) BusyFraction(x []float64) float64 {
-	s, w := m.Split(x)
-	return s[1] + w[1]
-}
-
-// StealSuccessProb reports S = s_T + w_T (core.Observer).
-func (m *RepeatedTransfer) StealSuccessProb(x []float64) (float64, bool) {
-	if m.t >= m.l {
-		return 0, false
-	}
-	s, w := m.Split(x)
-	return s[m.t] + w[m.t], true
-}
 
 // Initial returns the empty system: all processors idle and not awaiting.
 func (m *RepeatedTransfer) Initial() []float64 {
@@ -130,12 +104,6 @@ func (m *RepeatedTransfer) Derivs(x, dx []float64) {
 	s, w := m.Split(x)
 	ds, dw := m.Split(dx)
 	l := m.l
-	at := func(v []float64, i int) float64 {
-		if i >= l {
-			return 0
-		}
-		return v[i]
-	}
 	theta := (s[1] - at(s, 2)) + ra*(s[0]-s[1])
 	succ := at(s, m.t) + at(w, m.t)
 
@@ -209,36 +177,15 @@ func (m *RepeatedTransfer) Project(x []float64) {
 	s, w := m.Split(x)
 	// Clamp and monotonize w first (its head is free), then pin s₀ to the
 	// remaining population and monotonize s below it.
-	prev := 1.0
-	for i := 0; i < m.l; i++ {
-		v := numeric.Clamp(w[i], 0, 1)
-		if v > prev {
-			v = prev
-		}
-		w[i] = v
-		prev = v
-	}
-	s[0] = 1 - w[0]
-	prev = s[0]
-	for i := 1; i < m.l; i++ {
-		v := numeric.Clamp(s[i], 0, 1)
-		if v > prev {
-			v = prev
-		}
-		s[i] = v
-		prev = v
-	}
+	core.ProjectTailsBelow(w, numeric.Clamp(w[0], 0, 1))
+	core.ProjectTailsBelow(s, 1-w[0])
 }
 
 // MeanTasks counts queued tasks at all processors plus tasks in transit:
 // Σ_{i≥1}(s_i + w_i) + w₀.
 func (m *RepeatedTransfer) MeanTasks(x []float64) float64 {
-	s, w := m.Split(x)
-	var sum numeric.KahanSum
-	for i := 1; i < m.l; i++ {
-		sum.Add(s[i])
-		sum.Add(w[i])
-	}
+	_, w := m.Split(x)
+	sum := m.levelSum(x)
 	sum.Add(w[0])
 	return sum.Sum()
 }

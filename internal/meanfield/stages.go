@@ -117,20 +117,11 @@ func (m *Stages) Derivs(x, dx []float64) {
 	lambda := m.lambda
 	c := float64(m.c)
 	n := len(x)
-	at := func(i int) float64 {
-		if i < 0 {
-			return x[0]
-		}
-		if i >= n {
-			return 0
-		}
-		return x[i]
-	}
 	theta := x[1] - x[2] // processors completing their final stage
 	ct := c * theta
-	ctTau := ct * at(m.tau)
+	ctTau := ct * at(x, m.tau)
 	generic := func(i int) {
-		d := lambda*(at(i-m.c)-x[i]) - c*(x[i]-at(i+1))
+		d := lambda*(x[max(i-m.c, 0)]-x[i]) - c*(x[i]-at(x, i+1))
 		if i <= m.c {
 			// Thief gain: successful steal jumps the thief to c stages.
 			d += ctTau
@@ -141,7 +132,7 @@ func (m *Stages) Derivs(x, dx []float64) {
 			lo = m.tau
 		}
 		if lo <= i+m.c-1 {
-			d -= ct * (at(lo) - at(i+m.c))
+			d -= ct * (at(x, lo) - at(x, i+m.c))
 		}
 		dx[i] = d
 	}

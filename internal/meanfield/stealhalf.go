@@ -33,9 +33,6 @@ type StealHalf struct {
 // NewStealHalf constructs the steal-half model with arrival rate λ and
 // victim threshold T ≥ 2.
 func NewStealHalf(lambda float64, t int) *StealHalf {
-	if t < 2 {
-		panic("meanfield: StealHalf needs T >= 2")
-	}
 	// Solve starts from the empty system and the truncation is the looser
 	// one of an O(L²) generator, both for the reasons in NewRebalance:
 	// starting above the strongly-equalized equilibrium leaves a slow
@@ -51,21 +48,15 @@ func NewStealHalf(lambda float64, t int) *StealHalf {
 func (m *StealHalf) Derivs(x, dx []float64) {
 	lambda := m.lambda
 	n := len(x)
-	at := func(i int) float64 {
-		if i >= n {
-			return 0
-		}
-		return x[i]
-	}
-	sT := at(m.t)
-	theta := x[1] - at(2) // processors completing their final task
+	sT := at(x, m.t)
+	theta := x[1] - at(x, 2) // processors completing their final task
 
 	dx[0] = 0
 	// ds₁: the departure is cancelled when the post-completion steal
 	// succeeds (the thief jumps 0 → ⌈j/2⌉ ≥ 1 instantly).
 	dx[1] = lambda*(x[0]-x[1]) - theta*(1-sT)
 	for i := 2; i < n; i++ {
-		dx[i] = lambda*(x[i-1]-x[i]) - (x[i] - at(i+1))
+		dx[i] = lambda*(x[i-1]-x[i]) - (x[i] - at(x, i+1))
 	}
 	if theta <= 0 {
 		return

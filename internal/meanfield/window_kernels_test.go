@@ -152,7 +152,7 @@ func TestRepeatedTransferDerivsWindowLockstep(t *testing.T) {
 			ra = []float64{0.25, 1, 7}[r.IntN(3)]
 		}
 		rt := []float64{0.1, 0.5, 2}[r.IntN(3)]
-		m := &RepeatedTransfer{base: base{lambda: 0.05 + 0.94*r.Float64(), dim: 2 * l}, t: tt, ra: ra, rt: rt, l: l}
+		m := &RepeatedTransfer{pair: newPair("", 0.05+0.94*r.Float64(), tt, l), ra: ra, rt: rt}
 		name := fmt.Sprintf("repeated-transfer(l=%d,T=%d,ra=%g,rt=%g)", l, tt, ra, rt)
 		x := append(kernelState(r, l), kernelState(r, l)...)
 		lockstep(t, name, x, m.Derivs, func(x, dx []float64) { refRepeatedTransferDerivs(m, x, dx) })
