@@ -19,7 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
+	"strings"
 
 	"repro/internal/cliutil"
 	"repro/internal/experiments"
@@ -37,7 +37,7 @@ func run() int {
 	// except λ, which the spec leaves to the caller.
 	var spec, def experiments.FixedPointSpec
 	def.Normalize()
-	flag.StringVar(&spec.Model, "model", def.Model, "model: nosteal, simple, threshold, preemptive, repeated, choices, multisteal, stages, transfer, rebalance, stealhalf, spawning, repeated-transfer")
+	flag.StringVar(&spec.Model, "model", def.Model, "model: "+strings.Join(experiments.FixedPointModels, ", "))
 	flag.Float64Var(&spec.Lambda, "lambda", 0.9, "arrival rate λ in (0,1)")
 	flag.IntVar(&spec.T, "T", def.T, "victim threshold")
 	flag.IntVar(&spec.B, "B", def.B, "preemptive steal-begin level")
@@ -54,7 +54,7 @@ func run() int {
 
 	// The spec reads a zero field as "use the default", so an explicit zero
 	// would solve a model other than the one asked for.
-	if name := explicitZero("T", "d", "k", "c", "r", "ra", "li", "tails"); name != "" {
+	if name := cliutil.ExplicitZero("T", "d", "k", "c", "r", "ra", "li", "tails"); name != "" {
 		msg := "-" + name + " must be nonzero"
 		if name == "li" {
 			msg = "-li 0 is threshold stealing: use -model threshold"
@@ -99,16 +99,4 @@ func run() int {
 		fmt.Printf("  π_%-3d = %.8f\n", i, fp.State[i])
 	}
 	return 0
-}
-
-// explicitZero returns the first of the named flags that the command line
-// set to zero, or "" when none was.
-func explicitZero(names ...string) (zero string) {
-	flag.Visit(func(f *flag.Flag) {
-		g, ok := f.Value.(flag.Getter)
-		if ok && zero == "" && slices.Contains(names, f.Name) && (g.Get() == 0 || g.Get() == 0.0) {
-			zero = f.Name
-		}
-	})
-	return zero
 }

@@ -13,7 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
+	"strings"
 
 	"repro/internal/asciiplot"
 	"repro/internal/cliutil"
@@ -31,7 +31,7 @@ func run() int {
 	// except λ, which the spec leaves to the caller.
 	var spec, def experiments.ODESpec
 	def.Normalize()
-	flag.StringVar(&spec.Model, "model", def.Model, "model: nosteal, simple, threshold, choices")
+	flag.StringVar(&spec.Model, "model", def.Model, "model: "+strings.Join(experiments.ODEModels, ", "))
 	flag.Float64Var(&spec.Lambda, "lambda", 0.9, "arrival rate")
 	flag.IntVar(&spec.T, "T", def.T, "victim threshold")
 	flag.IntVar(&spec.D, "d", def.D, "victim choices")
@@ -44,7 +44,7 @@ func run() int {
 
 	// The spec reads a zero field as "use the default", so an explicit zero
 	// would solve a model other than the one asked for.
-	if name := explicitZero("T", "d", "span", "dt"); name != "" {
+	if name := cliutil.ExplicitZero("T", "d", "span", "dt"); name != "" {
 		fmt.Fprintf(os.Stderr, "wsode: -%s must be nonzero\n", name)
 		return 2
 	}
@@ -95,16 +95,4 @@ func run() int {
 			times[i], loads[i], loads[i]/spec.Lambda, dists[i])
 	}
 	return 0
-}
-
-// explicitZero returns the first of the named flags that the command line
-// set to zero, or "" when none was.
-func explicitZero(names ...string) (zero string) {
-	flag.Visit(func(f *flag.Flag) {
-		g, ok := f.Value.(flag.Getter)
-		if ok && zero == "" && slices.Contains(names, f.Name) && (g.Get() == 0 || g.Get() == 0.0) {
-			zero = f.Name
-		}
-	})
-	return zero
 }

@@ -1,15 +1,18 @@
 // Package cliutil holds the small helpers shared by the cmd/ tools:
-// pprof profiling hooks for the long-running CLIs and indented JSON
-// emission for -json output modes.
+// pprof profiling hooks for the long-running CLIs, indented JSON emission
+// for -json output modes, and the explicit-zero check of the tools whose
+// flags bind into a spec that reads zero as "use the default".
 package cliutil
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 )
 
 // StartCPUProfile begins a CPU profile written to path and returns the
@@ -55,4 +58,16 @@ func WriteJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
+}
+
+// ExplicitZero returns the first of the named flags that the command line
+// set to zero, or "" when none was.
+func ExplicitZero(names ...string) (zero string) {
+	flag.Visit(func(f *flag.Flag) {
+		g, ok := f.Value.(flag.Getter)
+		if ok && zero == "" && slices.Contains(names, f.Name) && (g.Get() == 0 || g.Get() == 0.0) {
+			zero = f.Name
+		}
+	})
+	return zero
 }
