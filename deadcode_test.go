@@ -41,7 +41,6 @@ var keptForTests = map[string]string{
 	"internal/ode.IntegrateToSteady":         "baseline of BenchmarkPlainIntegration",
 	"internal/rng.Source.Intn":               "reference the Bounded sampler test checks against; the fuzz tests draw with it",
 	"internal/sched.Cell.Done":               "completion channel the lease tests wait on",
-	"internal/sim.Runner.Run":                "one validated replication, which the stop tests drive the engine through",
 	"internal/sim.taskDeque.Front":           "accessor the deque tests check ordering with",
 	"internal/stability.Report.Stable":       "verdict accessor the stability tests read",
 	"internal/stats.Summary.Contains":        "coverage oracle of the confidence-interval tests",

@@ -89,14 +89,9 @@ func newBackend(k EngineKind) backend {
 }
 
 // Run executes one simulation of o on the stream rng.New(o.Seed) using the
-// backend selected by o.Engine and returns its measurements.
+// backend selected by o.Engine and returns its measurements. It is a zero
+// Runner's Run.
 func Run(o Options) (Result, error) {
-	o.normalize()
-	if err := o.Validate(); err != nil {
-		return Result{}, err
-	}
-	b := newBackend(o.Engine)
-	b.init(o, rng.New(o.Seed))
-	b.run()
-	return b.result(), nil
+	var r Runner
+	return r.Run(o)
 }

@@ -33,8 +33,8 @@ func (r *Runner) RunRep(o Options, rep int) Result {
 	return r.runStream(o)
 }
 
-// Run executes a single run of o on the stream rng.New(o.Seed), exactly as
-// the package-level Run does, after normalizing and validating o.
+// Run executes a single run of o on the stream rng.New(o.Seed) after
+// normalizing and validating o; the package-level Run is a zero Runner's.
 func (r *Runner) Run(o Options) (Result, error) {
 	o.normalize()
 	if err := o.Validate(); err != nil {
