@@ -158,7 +158,7 @@ func Variants() []Variant {
 				if err != nil {
 					return nil, fmt.Errorf("experiments: %v", err)
 				}
-				return buildModel(func() core.Model {
+				return TryBuild(func() core.Model {
 					return meanfield.NewPhaseService(lambda, ph, 2, 0)
 				})
 			},
@@ -180,7 +180,7 @@ func Variants() []Variant {
 			Lambda: heteroLambda,
 			Build: func(lambda float64) (core.Model, error) {
 				scale := lambda / heteroLambda
-				return buildModel(func() core.Model {
+				return TryBuild(func() core.Model {
 					return meanfield.NewHetero(heteroQ, heteroLf*scale, heteroLs*scale,
 						heteroMuF, heteroMuS, heteroT)
 				})
@@ -194,17 +194,6 @@ func Variants() []Variant {
 			},
 		},
 	}
-}
-
-// buildModel converts constructor panics (out-of-range parameters) into
-// errors, as FixedPointSpec.BuildModel does for spec-backed variants.
-func buildModel(f func() core.Model) (m core.Model, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m, err = nil, fmt.Errorf("experiments: invalid model parameters: %v", r)
-		}
-	}()
-	return f(), nil
 }
 
 // VariantNames returns the registry's names in order.

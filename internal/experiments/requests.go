@@ -142,47 +142,55 @@ const MaxSolveIter = 100_000
 
 // BuildModel normalizes, validates, and constructs the mean-field model.
 // Construction panics (for parameter combinations only the constructors
-// check, e.g. multisteal's T >= 2K) are converted into errors so malformed
-// network requests cannot crash a server.
-func (s *FixedPointSpec) BuildModel() (m core.Model, err error) {
+// check, e.g. multisteal's T >= 2K) are converted into errors by TryBuild
+// so malformed network requests cannot crash a server.
+func (s *FixedPointSpec) BuildModel() (core.Model, error) {
 	s.Normalize()
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	return TryBuild(func() core.Model {
+		switch s.Model {
+		case "nosteal":
+			return meanfield.NewNoSteal(s.Lambda)
+		case "simple":
+			return meanfield.NewSimpleWS(s.Lambda)
+		case "threshold":
+			return meanfield.NewThreshold(s.Lambda, s.T)
+		case "preemptive":
+			return meanfield.NewPreemptive(s.Lambda, s.B, s.T)
+		case "repeated":
+			return meanfield.NewRepeated(s.Lambda, s.T, s.R)
+		case "choices":
+			return meanfield.NewChoices(s.Lambda, s.T, s.D)
+		case "multisteal":
+			return meanfield.NewMultiSteal(s.Lambda, s.T, s.K)
+		case "stages":
+			return meanfield.NewStages(s.Lambda, s.C, s.T)
+		case "transfer":
+			return meanfield.NewTransfer(s.Lambda, s.T, s.R)
+		case "rebalance":
+			return meanfield.NewRebalance(s.Lambda, meanfield.ConstRate(s.R), s.R)
+		case "stealhalf":
+			return meanfield.NewStealHalf(s.Lambda, s.T)
+		case "spawning":
+			return meanfield.NewSpawning(s.Lambda*(1-s.LI), s.LI, s.T)
+		case "repeated-transfer":
+			return meanfield.NewRepeatedTransfer(s.Lambda, s.T, s.RA, s.R)
+		}
+		return nil
+	})
+}
+
+// TryBuild calls a model constructor and returns its model, or an error
+// carrying the panic value when the constructor rejects its parameters.
+func TryBuild(build func() core.Model) (m core.Model, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			m, err = nil, fmt.Errorf("experiments: invalid model parameters: %v", r)
 		}
 	}()
-	switch s.Model {
-	case "nosteal":
-		m = meanfield.NewNoSteal(s.Lambda)
-	case "simple":
-		m = meanfield.NewSimpleWS(s.Lambda)
-	case "threshold":
-		m = meanfield.NewThreshold(s.Lambda, s.T)
-	case "preemptive":
-		m = meanfield.NewPreemptive(s.Lambda, s.B, s.T)
-	case "repeated":
-		m = meanfield.NewRepeated(s.Lambda, s.T, s.R)
-	case "choices":
-		m = meanfield.NewChoices(s.Lambda, s.T, s.D)
-	case "multisteal":
-		m = meanfield.NewMultiSteal(s.Lambda, s.T, s.K)
-	case "stages":
-		m = meanfield.NewStages(s.Lambda, s.C, s.T)
-	case "transfer":
-		m = meanfield.NewTransfer(s.Lambda, s.T, s.R)
-	case "rebalance":
-		m = meanfield.NewRebalance(s.Lambda, meanfield.ConstRate(s.R), s.R)
-	case "stealhalf":
-		m = meanfield.NewStealHalf(s.Lambda, s.T)
-	case "spawning":
-		m = meanfield.NewSpawning(s.Lambda*(1-s.LI), s.LI, s.T)
-	case "repeated-transfer":
-		m = meanfield.NewRepeatedTransfer(s.Lambda, s.T, s.RA, s.R)
-	}
-	return m, nil
+	return build(), nil
 }
 
 // FixedPointReport is the JSON shape of one solved fixed point — the exact

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/experiments"
 	"repro/internal/meanfield"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -106,7 +108,7 @@ func h2ClosedForm(vr *VariantReport, lambda float64, svc dist.Distribution) {
 	scv := dist.SCV(ph)
 	// E[T] = E[S] + λ·E[S²]/(2(1−ρ)) with E[S] = 1, E[S²] = 1 + SCV.
 	want := 1 + lambda*(1+scv)/(2*(1-lambda))
-	m, err := buildPhaseService(lambda, ph, 0)
+	m, err := experiments.TryBuild(func() core.Model { return meanfield.NewPhaseService(lambda, ph, 0, 0) })
 	var got float64
 	if err == nil {
 		var fp interface{ SojournTime() float64 }
@@ -122,16 +124,6 @@ func h2ClosedForm(vr *VariantReport, lambda float64, svc dist.Distribution) {
 	vr.add(relative("closedform-ph-pk",
 		fmt.Sprintf("no-steal M/PH/1 E[T] vs Pollaczek–Khinchine (SCV=%g)", scv),
 		got, want, TolPK))
-}
-
-// buildPhaseService converts the constructor's parameter panics to errors.
-func buildPhaseService(lambda float64, ph dist.PhaseType, t int) (m *meanfield.PhaseService, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m, err = nil, fmt.Errorf("%v", r)
-		}
-	}()
-	return meanfield.NewPhaseService(lambda, ph, t, 0), nil
 }
 
 // The crossover family pins the qualitative workload result the subsystem
