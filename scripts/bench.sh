@@ -6,7 +6,10 @@
 # Writes BENCH_PR10.json at the repo root (ns/event and allocs/event for the
 # steady-state engine configurations, plus Table 1-4 wall times at 1 worker
 # vs GOMAXPROCS) and then runs the Go micro-benchmarks once for a quick
-# smoke reading. Commit the refreshed JSON alongside performance changes.
+# smoke reading: the simulator and event queue, and the solve layer (the
+# 51 solves behind the serving benchmark's solve-hot set-up, and the two
+# slowest single models, stages and rebalance). Commit the refreshed JSON
+# alongside performance changes.
 #
 # To gate against the previous record instead of eyeballing it, pass the
 # comparison flags through to wsbench — the script exits non-zero if any
@@ -20,4 +23,4 @@ cd "$(dirname "$0")/.."
 
 go run ./cmd/wsbench -out BENCH_PR10.json "$@"
 echo
-go test -run '^$' -bench 'BenchmarkSimulatorThroughput|BenchmarkRunnerReuse|BenchmarkPolicySimpleSteal|BenchmarkStealHalf|BenchmarkCalendarPushPop' -benchmem ./internal/sim/ ./internal/eventq/ .
+go test -run '^$' -bench 'BenchmarkSimulatorThroughput|BenchmarkRunnerReuse|BenchmarkPolicySimpleSteal|BenchmarkStealHalf|BenchmarkCalendarPushPop|BenchmarkHotSet|BenchmarkSolveStages|BenchmarkSolveRebalance' -benchmem ./internal/sim/ ./internal/eventq/ ./internal/experiments/ .
