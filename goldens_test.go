@@ -270,9 +270,10 @@ func TestGoldenWssimText(t *testing.T) {
 	}
 }
 
-// cliGoldenCases lists, per mean-field CLI, the invocations its golden
-// pins: each output mode (text or CSV, -metrics, -json, and wsode's
-// -plot) plus the -h usage text, which fixes every flag and default.
+// cliGoldenCases lists, per CLI, the invocations its golden pins: for
+// the mean-field CLIs each output mode (text or CSV, -metrics, -json, and
+// wsode's -plot), and for every tool the -h usage text, which fixes every
+// flag and default.
 var cliGoldenCases = map[string][]wssimTextCase{
 	"wsfixed": {
 		{"usage", []string{"-h"}},
@@ -290,10 +291,13 @@ var cliGoldenCases = map[string][]wssimTextCase{
 		{"choices-json", []string{"-model", "choices", "-lambda", "0.7", "-d", "3", "-span", "10", "-dt", "2.5", "-json"}},
 		{"nosteal-plot", []string{"-model", "nosteal", "-lambda", "0.5", "-span", "30", "-plot"}},
 	},
+	"wsserved": {
+		{"usage", []string{"-h"}},
+	},
 }
 
 // TestGoldenMeanFieldCLIs pins wsfixed's and wsode's whole output in
-// every mode, one file per binary with each case under a "== name"
+// every mode, and wsserved's usage, one file per binary with each case under a "== name"
 // header. The usage text names the binary by its path, which is
 // normalised to the bare name. Regenerate with
 // `go test -run TestGoldenMeanFieldCLIs -update`.
