@@ -6,6 +6,7 @@ package repro
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/workload"
 )
@@ -277,6 +279,35 @@ func TestCLIExplicitZeroExits2(t *testing.T) {
 		if len(out) != 0 || !strings.Contains(stderr.String(), c.msg) {
 			t.Errorf("%s %v: want no output and %q, got\n%s%s", c.cmd, c.args, c.msg, out, stderr.String())
 		}
+	}
+}
+
+// TestCLIWsservedBadFlagsExit2 checks that wsserved rejects out-of-range
+// settings at startup with one line on stderr, not a panic.
+func TestCLIWsservedBadFlagsExit2(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-chaos.p.error", "2"}, "wsserved: chaos: probability for error = 2 outside [0, 1]"},
+		{[]string{"-queue", "-1"}, "wsserved: -queue must not be negative"},
+		{[]string{"-drain", "-1s"}, "wsserved: -drain must not be negative"},
+	} {
+		// A daemon that accepts the setting would serve until killed.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		args := append([]string{"-addr", "127.0.0.1:0"}, c.args...)
+		cmd := exec.CommandContext(ctx, filepath.Join(buildCmds(t), "wsserved"), args...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 {
+			t.Errorf("wsserved %v: want exit 2, got %v", c.args, err)
+		}
+		if got := stderr.String(); got != c.msg+"\n" || strings.Contains(got, "goroutine") {
+			t.Errorf("wsserved %v: want the one line %q on stderr, got\n%s", c.args, c.msg, got)
+		}
+		cancel()
 	}
 }
 

@@ -46,6 +46,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/sched"
@@ -59,11 +60,14 @@ func main() {
 // run returns the process exit code instead of calling os.Exit so that
 // deferred cleanups always execute and tests can drive it directly.
 func run() int {
+	// The flags fill the serve, cluster and chaos configs directly; their
+	// defaults are the ones those packages apply to a zero config.
+	sc := serve.Config{}.WithDefaults()
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "scheduler pool workers (0 = GOMAXPROCS)")
-	cache := flag.Int("cache", 512, "result-cache entries")
-	queue := flag.Int("queue", 16, "simulate admission slots (excess requests get 429)")
-	deadline := flag.Duration("deadline", 60*time.Second, "per-request simulate deadline")
+	flag.IntVar(&sc.Workers, "workers", sc.Workers, "scheduler pool workers (0 = GOMAXPROCS)")
+	flag.IntVar(&sc.CacheEntries, "cache", sc.CacheEntries, "result-cache entries")
+	flag.IntVar(&sc.QueueDepth, "queue", sc.QueueDepth, "simulate admission slots (excess requests get 429)")
+	flag.DurationVar(&sc.SimDeadline, "deadline", sc.SimDeadline, "per-request simulate deadline")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 	logFormat := flag.String("log", "text", "request log format: text, json, off")
 
@@ -78,43 +82,59 @@ func run() int {
 		"max time from end of request header to end of response (0 = none); must exceed -deadline")
 	idleTimeout := flag.Duration("idle-timeout", 120*time.Second,
 		"max keep-alive idle time per connection (0 = none)")
-	streamWriteTimeout := flag.Duration("stream-write-timeout", 10*time.Second,
+	flag.DurationVar(&sc.StreamWriteTimeout, "stream-write-timeout", sc.StreamWriteTimeout,
 		"per-write progress deadline on streaming responses")
 
 	// Circuit breaker on /v1/simulate.
-	brkThreshold := flag.Float64("breaker.threshold", 0.5,
+	bc := breaker.Config{}.WithDefaults()
+	flag.Float64Var(&sc.BreakerThreshold, "breaker.threshold", bc.Threshold,
 		"failure rate over the window that opens the simulate breaker")
-	brkWindow := flag.Int("breaker.window", 20, "simulate breaker sliding-window size")
-	brkMinSamples := flag.Int("breaker.min-samples", 10,
+	flag.IntVar(&sc.BreakerWindow, "breaker.window", bc.Window, "simulate breaker sliding-window size")
+	flag.IntVar(&sc.BreakerMinSamples, "breaker.min-samples", bc.MinSamples,
 		"outcomes required in the window before the breaker may open")
-	brkCooldown := flag.Duration("breaker.cooldown", 5*time.Second,
+	flag.DurationVar(&sc.BreakerCooldown, "breaker.cooldown", bc.Cooldown,
 		"open-state hold time before a half-open probe")
 
 	// Cluster membership (off unless -peers is set; see README "Cluster
 	// Operations").
-	self := flag.String("self", "", "this replica's advertised base URL (required with -peers)")
+	cc := cluster.Config{}.WithDefaults()
+	flag.StringVar(&cc.Self, "self", cc.Self, "this replica's advertised base URL (required with -peers)")
 	peers := flag.String("peers", "", "comma-separated peer base URLs (static membership)")
-	gossip := flag.Duration("cluster.gossip", 500*time.Millisecond, "peer load-gossip interval")
-	stealBatch := flag.Int("cluster.steal-batch", 4, "max replications leased per steal")
-	leaseTTL := flag.Duration("cluster.lease-ttl", 10*time.Second,
+	flag.DurationVar(&cc.GossipInterval, "cluster.gossip", cc.GossipInterval, "peer load-gossip interval")
+	flag.IntVar(&cc.StealBatch, "cluster.steal-batch", cc.StealBatch, "max replications leased per steal")
+	flag.DurationVar(&cc.LeaseTTL, "cluster.lease-ttl", cc.LeaseTTL,
 		"steal-lease TTL; expired leases are reclaimed and re-run locally")
-	hedge := flag.Duration("cluster.hedge", 75*time.Millisecond,
+	flag.DurationVar(&cc.HedgeDelay, "cluster.hedge", cc.HedgeDelay,
 		"delay before hedging a steal probe to the second-best victim")
-	rpcTimeout := flag.Duration("cluster.rpc-timeout", 2*time.Second, "per-RPC deadline for peer calls")
-	retryBase := flag.Duration("cluster.retry.base", 50*time.Millisecond,
+	flag.DurationVar(&cc.RPCTimeout, "cluster.rpc-timeout", cc.RPCTimeout, "per-RPC deadline for peer calls")
+	flag.DurationVar(&cc.Retry.Base, "cluster.retry.base", cc.Retry.Base,
 		"base delay of the jittered exponential completion-retry schedule")
-	retryAttempts := flag.Int("cluster.retry.attempts", 3, "completion POST attempts before abandoning")
+	flag.IntVar(&cc.Retry.Attempts, "cluster.retry.attempts", cc.Retry.Attempts,
+		"completion POST attempts before abandoning")
 
 	// Deterministic fault injection (self-test only; inert at defaults).
-	var cc chaos.Config
-	flag.Uint64Var(&cc.Seed, "chaos.seed", 0, "chaos decision-stream seed")
-	flag.Float64Var(&cc.PLatency, "chaos.p.latency", 0, "per-probe latency-fault probability")
-	flag.Float64Var(&cc.PError, "chaos.p.error", 0, "per-probe error-fault probability")
-	flag.Float64Var(&cc.PPanic, "chaos.p.panic", 0, "per-probe panic-fault probability")
-	flag.Float64Var(&cc.PPerturb, "chaos.p.perturb", 0, "per-probe numeric-perturbation probability")
-	flag.Float64Var(&cc.PPartition, "chaos.p.partition", 0, "per-RPC network-partition probability (cluster links)")
-	flag.DurationVar(&cc.Latency, "chaos.latency", 5*time.Millisecond, "injected latency per fault")
+	chc := chaos.Config{}.WithDefaults()
+	flag.Uint64Var(&chc.Seed, "chaos.seed", chc.Seed, "chaos decision-stream seed")
+	flag.Float64Var(&chc.PLatency, "chaos.p.latency", chc.PLatency, "per-probe latency-fault probability")
+	flag.Float64Var(&chc.PError, "chaos.p.error", chc.PError, "per-probe error-fault probability")
+	flag.Float64Var(&chc.PPanic, "chaos.p.panic", chc.PPanic, "per-probe panic-fault probability")
+	flag.Float64Var(&chc.PPerturb, "chaos.p.perturb", chc.PPerturb, "per-probe numeric-perturbation probability")
+	flag.Float64Var(&chc.PPartition, "chaos.p.partition", chc.PPartition,
+		"per-RPC network-partition probability (cluster links)")
+	flag.DurationVar(&chc.Latency, "chaos.latency", chc.Latency, "injected latency per fault")
 	flag.Parse()
+
+	// A bad setting is a one-line usage error, not a panic at startup.
+	if err := chc.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "wsserved:", err)
+		return 2
+	}
+	for _, name := range []string{"queue", "cache", "deadline", "stream-write-timeout", "drain"} {
+		if strings.HasPrefix(flag.Lookup(name).Value.String(), "-") {
+			fmt.Fprintf(os.Stderr, "wsserved: -%s must not be negative\n", name)
+			return 2
+		}
+	}
 
 	var logger *slog.Logger
 	switch *logFormat {
@@ -128,78 +148,48 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "wsserved: unknown log format %q\n", *logFormat)
 		return 2
 	}
+	sc.Logger = logger
 
 	// The injector stays nil unless at least one probability is set, so the
 	// default daemon carries zero chaos machinery on its hot paths.
-	var inj *chaos.Injector
-	if cc.Enabled() {
-		inj = chaos.New(cc)
+	if chc.Enabled() {
+		sc.Chaos = chaos.New(chc)
 		logger.Warn("chaos injection enabled",
-			"seed", cc.Seed,
-			"p_latency", cc.PLatency, "p_error", cc.PError,
-			"p_panic", cc.PPanic, "p_perturb", cc.PPerturb,
-			"p_partition", cc.PPartition)
+			"seed", chc.Seed,
+			"p_latency", chc.PLatency, "p_error", chc.PError,
+			"p_panic", chc.PPanic, "p_perturb", chc.PPerturb,
+			"p_partition", chc.PPartition)
 	}
 
 	// In cluster mode the pool is created here and shared between the
 	// server (local simulate traffic) and the node (stolen replications);
 	// it outlives both and is closed last.
-	var (
-		pool *sched.Pool
-		node *cluster.Node
-	)
 	if *peers != "" {
-		if *self == "" {
+		if cc.Self == "" {
 			fmt.Fprintln(os.Stderr, "wsserved: -peers requires -self (this replica's advertised URL)")
 			return 2
 		}
-		var peerList []string
 		for _, p := range strings.Split(*peers, ",") {
 			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
+				cc.Peers = append(cc.Peers, p)
 			}
 		}
-		pool = sched.New(*workers)
-		defer pool.Close()
+		sc.Pool = sched.New(sc.Workers)
+		defer sc.Pool.Close()
+		cc.Pool, cc.Chaos, cc.Logger = sc.Pool, sc.Chaos, logger
 		var err error
-		node, err = cluster.New(cluster.Config{
-			Self:           *self,
-			Peers:          peerList,
-			Pool:           pool,
-			GossipInterval: *gossip,
-			StealBatch:     *stealBatch,
-			LeaseTTL:       *leaseTTL,
-			HedgeDelay:     *hedge,
-			RPCTimeout:     *rpcTimeout,
-			Retry:          cluster.Backoff{Base: *retryBase, Attempts: *retryAttempts},
-			Chaos:          inj,
-			Logger:         logger,
-		})
+		sc.Cluster, err = cluster.New(cc)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "wsserved:", err)
 			return 2
 		}
-		logger.Info("cluster membership configured", "self", *self, "peers", len(peerList))
+		logger.Info("cluster membership configured", "self", cc.Self, "peers", len(cc.Peers))
 	}
 
-	srv := serve.New(serve.Config{
-		Pool:               pool,
-		Workers:            *workers,
-		CacheEntries:       *cache,
-		QueueDepth:         *queue,
-		SimDeadline:        *deadline,
-		StreamWriteTimeout: *streamWriteTimeout,
-		Logger:             logger,
-		Chaos:              inj,
-		BreakerWindow:      *brkWindow,
-		BreakerThreshold:   *brkThreshold,
-		BreakerMinSamples:  *brkMinSamples,
-		BreakerCooldown:    *brkCooldown,
-		Cluster:            node,
-	})
+	srv := serve.New(sc)
 	defer srv.Close()
-	if node != nil {
-		defer node.Close() // LIFO: node stops before the server and pool go away
+	if sc.Cluster != nil {
+		defer sc.Cluster.Close() // LIFO: node stops before the server and pool go away
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -214,9 +204,9 @@ func run() int {
 		WriteTimeout:      *writeTimeout,
 		IdleTimeout:       *idleTimeout,
 	}
-	if *writeTimeout > 0 && *writeTimeout <= *deadline {
+	if *writeTimeout > 0 && *writeTimeout <= sc.SimDeadline {
 		logger.Warn("write-timeout does not exceed the simulate deadline; long simulations may be cut off",
-			"write_timeout", writeTimeout.String(), "deadline", deadline.String())
+			"write_timeout", writeTimeout.String(), "deadline", sc.SimDeadline.String())
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -225,8 +215,8 @@ func run() int {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	logger.Info("serving", "addr", ln.Addr().String())
-	if node != nil {
-		node.Start() // after the listener, so peers' first polls can land
+	if sc.Cluster != nil {
+		sc.Cluster.Start() // after the listener, so peers' first polls can land
 	}
 
 	select {

@@ -20,6 +20,7 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -82,10 +83,12 @@ func (d *decl) within(p token.Pos) bool {
 	return false
 }
 
-// modulePkg is one directory of non-test Go, type-checked on demand.
+// modulePkg is one directory of Go, its non-test files type-checked on
+// demand. tests holds the directory's _test.go files.
 type modulePkg struct {
 	dir   string
 	files []*ast.File
+	tests []*ast.File
 	pkg   *types.Package
 }
 
@@ -93,11 +96,12 @@ type modulePkg struct {
 // files, in import order, and hands every other path to the standard
 // library's source importer.
 type moduleImporter struct {
-	t    *testing.T
-	fset *token.FileSet
-	pkgs map[string]*modulePkg // by import path
-	info *types.Info
-	std  types.Importer
+	t     *testing.T
+	fset  *token.FileSet
+	pkgs  map[string]*modulePkg // by import path
+	paths []string              // sorted import paths with non-test files
+	info  *types.Info
+	std   types.Importer
 }
 
 func (m *moduleImporter) Import(p string) (*types.Package, error) {
@@ -106,16 +110,27 @@ func (m *moduleImporter) Import(p string) (*types.Package, error) {
 		return m.std.Import(p)
 	}
 	if mp.pkg == nil {
-		conf := types.Config{Importer: m, Error: func(err error) { m.t.Error(err) }}
-		mp.pkg, _ = conf.Check(p, m.fset, mp.files, m.info)
+		mp.pkg = m.check(p, mp.files, m.info)
 	}
 	return mp.pkg, nil
 }
 
-func TestNoUnreferencedDeclarations(t *testing.T) {
+// check type-checks files as the package at import path p, recording
+// identifiers in info; a type error fails the test.
+func (m *moduleImporter) check(p string, files []*ast.File, info *types.Info) *types.Package {
+	conf := types.Config{Importer: m, Error: func(err error) { m.t.Error(err) }}
+	pkg, _ := conf.Check(p, m.fset, files, info)
+	return pkg
+}
+
+// loadModule parses every Go file of this module and of perfbench/ and
+// type-checks the non-test files, cgo off, with the standard library
+// type-checked from source.
+func loadModule(t *testing.T) *moduleImporter {
 	// Select the pure-Go files of net and os/user, so the source importer
 	// never runs cgo.
-	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
+	cgo := build.Default.CgoEnabled
+	t.Cleanup(func() { build.Default.CgoEnabled = cgo })
 	build.Default.CgoEnabled = false
 
 	fset := token.NewFileSet()
@@ -130,7 +145,7 @@ func TestNoUnreferencedDeclarations(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
 		if ok, err := build.Default.MatchFile(filepath.Dir(p), d.Name()); err != nil || !ok {
@@ -145,7 +160,11 @@ func TestNoUnreferencedDeclarations(t *testing.T) {
 		if pkgs[ip] == nil {
 			pkgs[ip] = &modulePkg{dir: dir}
 		}
-		pkgs[ip].files = append(pkgs[ip].files, f)
+		if strings.HasSuffix(p, "_test.go") {
+			pkgs[ip].tests = append(pkgs[ip].tests, f)
+		} else {
+			pkgs[ip].files = append(pkgs[ip].files, f)
+		}
 		return nil
 	})
 	if err != nil {
@@ -153,18 +172,25 @@ func TestNoUnreferencedDeclarations(t *testing.T) {
 	}
 
 	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-	imp := &moduleImporter{t, fset, pkgs, info, importer.ForCompiler(fset, "source", nil)}
-	paths := make([]string, 0, len(pkgs))
-	for p := range pkgs {
-		paths = append(paths, p)
+	m := &moduleImporter{t, fset, pkgs, nil, info, importer.ForCompiler(fset, "source", nil)}
+	for p, mp := range pkgs {
+		if len(mp.files) > 0 {
+			m.paths = append(m.paths, p)
+		}
 	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		imp.Import(p)
+	sort.Strings(m.paths)
+	for _, p := range m.paths {
+		m.Import(p)
 	}
 	if t.Failed() {
 		t.FailNow()
 	}
+	return m
+}
+
+func TestNoUnreferencedDeclarations(t *testing.T) {
+	m := loadModule(t)
+	pkgs, paths, info := m.pkgs, m.paths, m.info
 
 	var decls []*decl
 	methods := map[string][][2]token.Pos{} // "dir.Type" -> its methods' spans
@@ -267,6 +293,127 @@ func TestNoUnreferencedDeclarations(t *testing.T) {
 		if !declared[k] {
 			t.Errorf("keptForTests lists %s, which is not declared", k)
 		}
+	}
+}
+
+// configStructs are the config and option types of the module. Each
+// exported field must be written in some file other than its own
+// package's non-test files: a field that only its package's defaulting
+// writes is a setting nothing sets.
+var configStructs = []string{
+	"internal/asciiplot.Options",
+	"internal/breaker.Config",
+	"internal/chaos.Config",
+	"internal/cluster.Backoff",
+	"internal/cluster.Config",
+	"internal/experiments.Scale",
+	"internal/meanfield.SolveOptions",
+	"internal/ode.SteadyOptions",
+	"internal/serve.Config",
+	"internal/sim.Options",
+	"internal/sim.Replication",
+	"internal/solver.Options",
+	"internal/validate.Config",
+}
+
+func TestConfigFieldsAreSet(t *testing.T) {
+	m := loadModule(t)
+	// keys maps the exported fields of configStructs to "dir.Type.Field",
+	// both in the loaded packages and in the copies checked with a
+	// package's in-package tests.
+	keys := map[*types.Var]string{}
+	addFields := func(pkg *types.Package, dir string) {
+		for _, name := range configStructs {
+			typ, ok := strings.CutPrefix(name, dir+".")
+			if !ok {
+				continue
+			}
+			obj := pkg.Scope().Lookup(typ)
+			if obj == nil {
+				t.Fatalf("configStructs lists %s, which is not declared", name)
+			}
+			st := obj.Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					keys[f] = name + "." + f.Name()
+				}
+			}
+		}
+	}
+	for _, p := range m.paths {
+		addFields(m.pkgs[p].pkg, m.pkgs[p].dir)
+	}
+
+	// scan marks the config fields that files write in a keyed literal, an
+	// assignment or an &field; writes to the fields of package self do not
+	// count.
+	set := map[string]bool{}
+	scan := func(files []*ast.File, info *types.Info, self string) {
+		mark := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				e = sel.Sel
+			}
+			if id, ok := e.(*ast.Ident); ok {
+				if f, ok := info.Uses[id].(*types.Var); ok && keys[f] != "" && f.Pkg().Path() != self {
+					set[keys[f]] = true
+				}
+			}
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					mark(n.Key)
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						mark(lhs)
+					}
+				case *ast.IncDecStmt:
+					mark(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						mark(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, p := range m.paths {
+		scan(m.pkgs[p].files, m.info, p)
+	}
+	// In-package tests are checked with their package's non-test files,
+	// an external _test package on its own.
+	for p, mp := range m.pkgs {
+		var in, ext []*ast.File
+		for _, f := range mp.tests {
+			if strings.HasSuffix(f.Name.Name, "_test") {
+				ext = append(ext, f)
+			} else {
+				in = append(in, f)
+			}
+		}
+		if len(in) > 0 {
+			info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+			addFields(m.check(p, append(in, mp.files...), info), mp.dir)
+			scan(in, info, "")
+		}
+		if len(ext) > 0 {
+			info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+			m.check(p+"_test", ext, info)
+			scan(ext, info, "")
+		}
+	}
+
+	var unset []string
+	for _, name := range keys {
+		if !set[name] {
+			unset = append(unset, name)
+		}
+	}
+	sort.Strings(unset)
+	for _, name := range slices.Compact(unset) {
+		t.Errorf("%s is written nowhere outside its own package's non-test files: make it a constant", name)
 	}
 }
 

@@ -63,7 +63,9 @@ type Config struct {
 	OnTransition func(from, to State)
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every zero or negative setting replaced by
+// its default.
+func (c Config) WithDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 20
 	}
@@ -103,7 +105,7 @@ type Breaker struct {
 
 // New builds a Breaker from cfg.
 func New(cfg Config) *Breaker {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	return &Breaker{
 		cfg:      cfg,
 		outcomes: make([]bool, cfg.Window),

@@ -84,6 +84,14 @@ type Config struct {
 	Latency time.Duration
 }
 
+// WithDefaults returns c with a zero Latency replaced by its default.
+func (c Config) WithDefaults() Config {
+	if c.Latency == 0 {
+		c.Latency = 5 * time.Millisecond
+	}
+	return c
+}
+
 // Enabled reports whether any fault kind has a positive probability.
 func (c Config) Enabled() bool {
 	return c.PLatency > 0 || c.PError > 0 || c.PPanic > 0 || c.PPerturb > 0 ||
@@ -130,10 +138,7 @@ func New(cfg Config) *Injector {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.Latency == 0 {
-		cfg.Latency = 5 * time.Millisecond
-	}
-	return &Injector{cfg: cfg, sites: make(map[string]*site)}
+	return &Injector{cfg: cfg.WithDefaults(), sites: make(map[string]*site)}
 }
 
 // Disable (or re-enable) all injection at runtime. Used by recovery drills:

@@ -25,6 +25,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -69,20 +70,36 @@ type Config struct {
 	// Retry is the completion-POST retry policy; zero fields take the
 	// Backoff defaults.
 	Retry Backoff
-	// Breaker is the per-peer circuit breaker template; zero fields take
-	// breaker defaults, except Window/MinSamples/Cooldown which default to
-	// 8/4/4×GossipInterval here — peer RPCs are far sparser than requests.
-	Breaker breaker.Config
 	// Chaos, when non-nil, injects partitions and delays at the per-link
 	// RPC sites. Leave nil in production.
 	Chaos *chaos.Injector
 	// Logger receives cluster events; nil discards.
 	Logger *slog.Logger
-	// Client performs the RPCs (default a plain http.Client; deadlines come
-	// from per-RPC contexts).
-	Client *http.Client
-	// Now replaces time.Now for tests.
-	Now func() time.Time
+}
+
+// WithDefaults returns c with every zero or negative setting replaced by
+// its default, Retry's included.
+func (c Config) WithDefaults() Config {
+	if c.GossipInterval <= 0 {
+		c.GossipInterval = 500 * time.Millisecond
+	}
+	if c.StealBatch <= 0 {
+		c.StealBatch = 4
+	}
+	if c.LeaseTTL <= 0 {
+		c.LeaseTTL = 10 * time.Second
+	}
+	if c.HedgeDelay <= 0 {
+		c.HedgeDelay = 75 * time.Millisecond
+	}
+	if c.RPCTimeout <= 0 {
+		c.RPCTimeout = 2 * time.Second
+	}
+	c.Retry = c.Retry.WithDefaults()
+	if c.Logger == nil {
+		c.Logger = slog.New(slog.DiscardHandler)
+	}
+	return c
 }
 
 // Node is one replica's membership in the cluster. Create with New, mount
@@ -90,7 +107,7 @@ type Config struct {
 // and Close it before the scheduler pool.
 type Node struct {
 	cfg    Config
-	client *http.Client
+	client http.Client // deadlines come from per-RPC contexts
 	chaos  *chaos.Injector
 	log    *slog.Logger
 	met    meters
@@ -116,53 +133,19 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Pool == nil {
 		return nil, errors.New("cluster: Config.Pool is required")
 	}
-	if cfg.GossipInterval <= 0 {
-		cfg.GossipInterval = 500 * time.Millisecond
-	}
-	if cfg.StealBatch <= 0 {
-		cfg.StealBatch = 4
-	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 10 * time.Second
-	}
-	if cfg.HedgeDelay <= 0 {
-		cfg.HedgeDelay = 75 * time.Millisecond
-	}
-	if cfg.RPCTimeout <= 0 {
-		cfg.RPCTimeout = 2 * time.Second
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = slog.New(slog.DiscardHandler)
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
-	}
-	brkCfg := cfg.Breaker
-	if brkCfg.Window <= 0 {
-		brkCfg.Window = 8
-	}
-	if brkCfg.MinSamples <= 0 {
-		brkCfg.MinSamples = 4
-	}
-	if brkCfg.Cooldown <= 0 {
-		brkCfg.Cooldown = 4 * cfg.GossipInterval
-	}
-	if brkCfg.Now == nil {
-		brkCfg.Now = cfg.Now
-	}
+	cfg = cfg.WithDefaults()
+	// Peer RPCs are far sparser than requests: a small window, and a
+	// cooldown of a few gossip rounds.
+	brkCfg := breaker.Config{Window: 8, MinSamples: 4, Cooldown: 4 * cfg.GossipInterval}
 
 	n := &Node{
-		cfg:    cfg,
-		client: cfg.Client,
-		chaos:  cfg.Chaos,
-		log:    cfg.Logger,
-		met:    newMeters(),
-		reg:    newRegistry(),
-		byURL:  make(map[string]*peer),
-		stop:   make(chan struct{}),
+		cfg:   cfg,
+		chaos: cfg.Chaos,
+		log:   cfg.Logger,
+		met:   newMeters(),
+		reg:   newRegistry(),
+		byURL: make(map[string]*peer),
+		stop:  make(chan struct{}),
 	}
 	staleAfter := 3 * cfg.GossipInterval
 	seen := map[string]bool{cfg.Self: true}
@@ -171,7 +154,7 @@ func New(cfg Config) (*Node, error) {
 			continue // self or duplicate in the peer list is a config slip
 		}
 		seen[u] = true
-		p := newPeer(u, brkCfg, staleAfter, cfg.Now)
+		p := newPeer(u, brkCfg, staleAfter)
 		n.peers = append(n.peers, p)
 		n.byURL[u] = p
 	}
@@ -339,7 +322,7 @@ func (n *Node) loop() {
 			return
 		case <-t.C:
 			n.gossip()
-			if reclaimed := n.reg.sweep(n.cfg.Now()); reclaimed > 0 {
+			if reclaimed := n.reg.sweep(); reclaimed > 0 {
 				n.met.reclaimedReps.Add(int64(reclaimed))
 				n.log.Warn("reclaimed expired lease slots", "reps", reclaimed)
 			}
@@ -362,7 +345,7 @@ func (n *Node) gossip() {
 			status, body, err := n.rpc(rctx, p, http.MethodGet, "/v1/cluster/load", "", nil, false)
 			if err == nil && status == http.StatusOK {
 				var rep loadReport
-				if derr := decodeJSON(body, &rep); derr == nil {
+				if derr := json.Unmarshal(body, &rep); derr == nil {
 					p.observe(true, rep.Pending, rep.Draining)
 					n.met.gossip.With(p.url, "ok").Add(1)
 					return
@@ -481,7 +464,7 @@ func (n *Node) probeSteal(p *peer) *stealGrant {
 	n.met.stealProbes.Add(1)
 	rctx, cancel := n.rpcTimeout(context.Background())
 	defer cancel()
-	body, err := encodeJSON(stealRequest{Want: n.cfg.StealBatch})
+	body, err := json.Marshal(stealRequest{Want: n.cfg.StealBatch})
 	if err != nil {
 		return nil
 	}
@@ -490,7 +473,7 @@ func (n *Node) probeSteal(p *peer) *stealGrant {
 		return nil
 	}
 	var g stealGrant
-	if err := decodeJSON(respBody, &g); err != nil || g.Key == "" || len(g.Indices) == 0 {
+	if err := json.Unmarshal(respBody, &g); err != nil || g.Key == "" || len(g.Indices) == 0 {
 		n.met.stealEmpty.Add(1)
 		return nil
 	}
@@ -537,7 +520,8 @@ func (n *Node) execute(p *peer, g *stealGrant) {
 	// victim has reclaimed the slots and a completion is dead weight.
 	// Duplicate deliveries (a retry after an ambiguous failure) are safe —
 	// the cell's idempotency barrier rejects the second copy.
-	ctx, cancel := context.WithDeadline(context.Background(), g.deadline(n.cfg.Now()))
+	// TTLMillis is relative, so the two clocks need not agree.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(g.TTLMillis)*time.Millisecond)
 	defer cancel()
 	err = n.cfg.Retry.Do(ctx, func(ctx context.Context) error {
 		n.met.completionPosts.Add(1)

@@ -111,7 +111,7 @@ func newHarness(t *testing.T, count int, workers []int, tweak func(i int, cfg *C
 			LeaseTTL:       2 * time.Second,
 			HedgeDelay:     5 * time.Millisecond,
 			RPCTimeout:     time.Second,
-			Retry:          Backoff{Base: 5 * time.Millisecond, Cap: 20 * time.Millisecond, Attempts: 3},
+			Retry:          Backoff{Base: 5 * time.Millisecond, Attempts: 3},
 		}
 		if tweak != nil {
 			tweak(i, &cfg)

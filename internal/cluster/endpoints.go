@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/sim"
@@ -33,18 +32,13 @@ type stealRequest struct {
 
 // stealGrant is the steal response. A zero Key means "no work". TTLMillis
 // is relative so the two clocks need not agree; the thief derives its
-// completion deadline from its own now.
+// completion deadline from its own clock.
 type stealGrant struct {
 	Key       string              `json:"key"`
 	Lease     uint64              `json:"lease"`
 	Indices   []int               `json:"indices"`
 	TTLMillis int64               `json:"ttl_ms"`
 	Spec      experiments.SimSpec `json:"spec"`
-}
-
-// deadline converts the relative TTL into the thief's absolute deadline.
-func (g *stealGrant) deadline(now time.Time) time.Time {
-	return now.Add(time.Duration(g.TTLMillis) * time.Millisecond)
 }
 
 // completion is the gob body of POST /v1/cluster/complete.
@@ -61,10 +55,6 @@ type completeReply struct {
 	Accepted int `json:"accepted"`
 	Rejected int `json:"rejected"`
 }
-
-func encodeJSON(v any) ([]byte, error) { return json.Marshal(v) }
-
-func decodeJSON(b []byte, v any) error { return json.Unmarshal(b, v) }
 
 func encodeCompletion(c completion) ([]byte, error) {
 	var buf bytes.Buffer
@@ -134,7 +124,7 @@ func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
 	if want <= 0 || want > n.cfg.StealBatch {
 		want = n.cfg.StealBatch
 	}
-	key, spec, id, indices, _ := n.reg.grant(want, n.cfg.Now(), n.cfg.LeaseTTL)
+	key, spec, id, indices := n.reg.grant(want, n.cfg.LeaseTTL)
 	if id == 0 {
 		writeJSON(w, stealGrant{})
 		return

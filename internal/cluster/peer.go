@@ -18,17 +18,15 @@ type peer struct {
 	mu       sync.Mutex
 	lastSeen time.Time // last successful load poll (zero = never)
 	staleAt  time.Duration
-	now      func() time.Time
 	pending  int  // replications the peer last reported claimable
 	draining bool // peer said it is shutting down
 }
 
-func newPeer(url string, brkCfg breaker.Config, staleAfter time.Duration, now func() time.Time) *peer {
+func newPeer(url string, brkCfg breaker.Config, staleAfter time.Duration) *peer {
 	return &peer{
 		url:     url,
 		brk:     breaker.New(brkCfg),
 		staleAt: staleAfter,
-		now:     now,
 	}
 }
 
@@ -36,7 +34,7 @@ func newPeer(url string, brkCfg breaker.Config, staleAfter time.Duration, now fu
 func (p *peer) observe(ok bool, pending int, draining bool) {
 	p.mu.Lock()
 	if ok {
-		p.lastSeen = p.now()
+		p.lastSeen = time.Now()
 		p.pending = pending
 		p.draining = draining
 	}
@@ -47,7 +45,7 @@ func (p *peer) observe(ok bool, pending int, draining bool) {
 func (p *peer) isHealthy() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return !p.lastSeen.IsZero() && p.now().Sub(p.lastSeen) <= p.staleAt
+	return !p.lastSeen.IsZero() && time.Since(p.lastSeen) <= p.staleAt
 }
 
 // load returns the peer's last reported claimable replication count, or 0
@@ -55,7 +53,7 @@ func (p *peer) isHealthy() bool {
 func (p *peer) load() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.lastSeen.IsZero() || p.now().Sub(p.lastSeen) > p.staleAt || p.draining {
+	if p.lastSeen.IsZero() || time.Since(p.lastSeen) > p.staleAt || p.draining {
 		return 0
 	}
 	return p.pending

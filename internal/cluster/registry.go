@@ -72,9 +72,9 @@ func (g *registry) pending() int {
 }
 
 // grant leases up to want replications from the offer with the most
-// pending work, valid until now+ttl. It returns the zero grant when
+// pending work, valid for ttl from now. It returns the zero grant when
 // nothing is claimable.
-func (g *registry) grant(want int, now time.Time, ttl time.Duration) (key string, spec experiments.SimSpec, id uint64, indices []int, expiry time.Time) {
+func (g *registry) grant(want int, ttl time.Duration) (key string, spec experiments.SimSpec, id uint64, indices []int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	var best *offer
@@ -85,15 +85,14 @@ func (g *registry) grant(want int, now time.Time, ttl time.Duration) (key string
 		}
 	}
 	if best == nil {
-		return "", experiments.SimSpec{}, 0, nil, time.Time{}
+		return "", experiments.SimSpec{}, 0, nil
 	}
 	id, indices = best.cell.Lease(want)
 	if id == 0 {
-		return "", experiments.SimSpec{}, 0, nil, time.Time{}
+		return "", experiments.SimSpec{}, 0, nil
 	}
-	expiry = now.Add(ttl)
-	g.leases = append(g.leases, grantedLease{key: best.key, id: id, cell: best.cell, expiry: expiry})
-	return best.key, best.spec, id, indices, expiry
+	g.leases = append(g.leases, grantedLease{key: best.key, id: id, cell: best.cell, expiry: time.Now().Add(ttl)})
+	return best.key, best.spec, id, indices
 }
 
 // fulfill hands one stolen result back to its cell. known reports whether
@@ -113,7 +112,8 @@ func (g *registry) fulfill(key string, id uint64, index int, res sim.Result) (ac
 // unfulfilled slots locally, and returns the number of replications taken
 // back. Leases whose offer was already released still reclaim through the
 // cell they were granted on.
-func (g *registry) sweep(now time.Time) int {
+func (g *registry) sweep() int {
+	now := time.Now()
 	g.mu.Lock()
 	var due []grantedLease
 	kept := g.leases[:0]

@@ -8,16 +8,15 @@ import (
 )
 
 // TestBackoffSchedule pins the exact delay schedule with injected sleep
-// and jitter hooks: min(Cap, Base·2^k) scaled by 1 + Jitter·(2u − 1).
+// and jitter hooks: min(backoffCap, Base·2^k) scaled by
+// 1 + backoffJitter·(2u − 1).
 func TestBackoffSchedule(t *testing.T) {
 	var delays []time.Duration
 	b := Backoff{
-		Base:     100 * time.Millisecond,
-		Cap:      time.Second,
+		Base:     300 * time.Millisecond,
 		Attempts: 5,
-		Jitter:   0.5,
 		Sleep:    func(d time.Duration) { delays = append(delays, d) },
-		Rand:     func() float64 { return 0.75 }, // factor 1 + 0.5·0.5 = 1.25
+		Rand:     func() float64 { return 0.75 },
 	}
 	calls := 0
 	errFail := errors.New("boom")
@@ -31,11 +30,18 @@ func TestBackoffSchedule(t *testing.T) {
 	if calls != 5 {
 		t.Fatalf("fn ran %d times, want 5", calls)
 	}
-	want := []time.Duration{
-		125 * time.Millisecond,  // 100ms · 1.25
-		250 * time.Millisecond,  // 200ms · 1.25
-		500 * time.Millisecond,  // 400ms · 1.25
-		1000 * time.Millisecond, // 800ms · 1.25
+	jitter := 1 + backoffJitter*0.5 // u = 0.75
+	var want []time.Duration
+	for _, d := range []time.Duration{
+		300 * time.Millisecond,
+		600 * time.Millisecond,
+		1200 * time.Millisecond,
+		backoffCap, // 2400ms, capped
+	} {
+		want = append(want, time.Duration(float64(d)*jitter))
+	}
+	if backoffCap >= 2400*time.Millisecond {
+		t.Fatalf("backoffCap %v no longer caps the fourth delay", backoffCap)
 	}
 	if len(delays) != len(want) {
 		t.Fatalf("delays = %v, want %v", delays, want)
@@ -47,19 +53,23 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 }
 
-// TestBackoffCapAndJitterRange pins that delays never exceed Cap·(1+Jitter)
-// and the exponent cannot overflow into a negative shift.
+// TestBackoffCapAndJitterRange pins that delays stay within
+// Base·(1−backoffJitter) and backoffCap·(1+backoffJitter), that large k
+// reaches the cap, and that the exponent cannot overflow into a negative
+// shift.
 func TestBackoffCapAndJitterRange(t *testing.T) {
-	b := Backoff{Base: time.Millisecond, Cap: 8 * time.Millisecond, Jitter: 0.2}.withDefaults()
+	b := Backoff{Base: time.Millisecond}.WithDefaults()
+	lo := time.Duration(float64(time.Millisecond) * (1 - backoffJitter))
+	hi := time.Duration(float64(backoffCap) * (1 + backoffJitter))
 	for k := 0; k < 80; k++ {
 		for _, u := range []float64{0, 0.5, 0.999} {
-			d := b.delay(k, u)
-			lo := time.Duration(float64(time.Millisecond) * 0.8)
-			hi := time.Duration(float64(8*time.Millisecond) * 1.2)
-			if d < lo || d > hi {
+			if d := b.delay(k, u); d < lo || d > hi {
 				t.Fatalf("delay(%d, %v) = %v outside [%v, %v]", k, u, d, lo, hi)
 			}
 		}
+	}
+	if d := b.delay(79, 0.5); d != backoffCap {
+		t.Fatalf("delay(79, 0.5) = %v, want the cap %v", d, backoffCap)
 	}
 }
 
@@ -67,7 +77,7 @@ func TestBackoffCapAndJitterRange(t *testing.T) {
 func TestBackoffStopsOnSuccess(t *testing.T) {
 	var delays []time.Duration
 	b := Backoff{
-		Base: 10 * time.Millisecond, Cap: time.Second, Attempts: 5,
+		Base: 10 * time.Millisecond, Attempts: 5,
 		Sleep: func(d time.Duration) { delays = append(delays, d) },
 		Rand:  func() float64 { return 0.5 },
 	}
@@ -92,7 +102,7 @@ func TestBackoffStopsOnSuccess(t *testing.T) {
 func TestBackoffHonorsDeadline(t *testing.T) {
 	slept := 0
 	b := Backoff{
-		Base: 500 * time.Millisecond, Cap: time.Second, Attempts: 5,
+		Base: 500 * time.Millisecond, Attempts: 5,
 		Sleep: func(time.Duration) { slept++ },
 		Rand:  func() float64 { return 0.5 },
 	}

@@ -100,6 +100,7 @@ func (s *FixedPointSpec) Normalize() {
 
 // Validate checks a normalized spec without building the model, returning
 // a descriptive error for out-of-range parameters (NaN and ±Inf included).
+// A spec it accepts builds.
 func (s *FixedPointSpec) Validate() error {
 	known := false
 	for _, m := range FixedPointModels {
@@ -133,6 +134,12 @@ func (s *FixedPointSpec) Validate() error {
 	if s.MaxIter < 0 || s.MaxIter > MaxSolveIter {
 		return fmt.Errorf("experiments: max_iter = %d outside [0, %d]", s.MaxIter, MaxSolveIter)
 	}
+	if s.Model == "multisteal" && 2*s.K > s.T {
+		return fmt.Errorf("experiments: multisteal needs 2k <= T, got k=%d T=%d", s.K, s.T)
+	}
+	if s.Model == "preemptive" && s.T < s.B+2 {
+		return fmt.Errorf("experiments: preemptive needs T >= b+2, got b=%d T=%d", s.B, s.T)
+	}
 	return nil
 }
 
@@ -141,9 +148,8 @@ func (s *FixedPointSpec) Validate() error {
 const MaxSolveIter = 100_000
 
 // BuildModel normalizes, validates, and constructs the mean-field model.
-// Construction panics (for parameter combinations only the constructors
-// check, e.g. multisteal's T >= 2K) are converted into errors by TryBuild
-// so malformed network requests cannot crash a server.
+// A constructor panic is converted into an error by TryBuild, so a
+// parameter combination Validate missed cannot crash a server.
 func (s *FixedPointSpec) BuildModel() (core.Model, error) {
 	s.Normalize()
 	if err := s.Validate(); err != nil {

@@ -241,8 +241,6 @@ func checkLambda(lambda float64) {
 // SolveOptions tunes Solve. The zero value requests defaults appropriate to
 // the model.
 type SolveOptions struct {
-	// Tol is the residual tolerance; 0 defaults to 1e-11.
-	Tol float64
 	// MaxIter bounds outer Anderson iterations; 0 defaults to 800.
 	MaxIter int
 	// Perturb, when non-nil, is forwarded to the solver's fault-injection
@@ -279,9 +277,6 @@ type relaxRater interface {
 // iteration on the RK4 flow, starting from the model's warm start (or its
 // initial state), and validates the result.
 func Solve(m core.Model, opt SolveOptions) (core.FixedPoint, error) {
-	if opt.Tol == 0 {
-		opt.Tol = 1e-11
-	}
 	if opt.MaxIter == 0 {
 		opt.MaxIter = 800
 	}
@@ -307,7 +302,7 @@ func Solve(m core.Model, opt SolveOptions) (core.FixedPoint, error) {
 	}
 	horizon := numeric.Clamp(1.5/relax, 40*step, 120)
 	res, err := solver.FixedPoint(m.Derivs, x0, solver.Options{
-		Tol:     opt.Tol,
+		Tol:     1e-11, // the residual tolerance
 		Horizon: horizon,
 		Step:    step,
 		Memory:  6,

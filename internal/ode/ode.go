@@ -112,10 +112,11 @@ type SteadyOptions struct {
 	Step float64
 	// MaxTime bounds the total integrated time. Zero defaults to 1e6.
 	MaxTime float64
-	// CheckEvery sets how many steps elapse between convergence checks.
-	// Zero defaults to 10.
-	CheckEvery int
 }
+
+// steadyCheckEvery is the number of steps between IntegrateToSteady's
+// convergence checks.
+const steadyCheckEvery = 10
 
 // IntegrateToSteady integrates x forward with fixed RK4 steps until the
 // derivative norm drops below opt.Tol, returning the simulated time used and
@@ -137,15 +138,11 @@ func IntegrateToSteady(f System, x []float64, opt SteadyOptions) (float64, bool)
 	if maxTime == 0 {
 		maxTime = 1e6
 	}
-	every := opt.CheckEvery
-	if every <= 0 {
-		every = 10
-	}
 	s := NewRK4Scratch(len(x))
 	dx := make([]float64, len(x))
 	t := 0.0
 	for steps := 0; t < maxTime; steps++ {
-		if steps%every == 0 {
+		if steps%steadyCheckEvery == 0 {
 			f(x, dx)
 			if numeric.NormInf(dx) < tol {
 				return t, true

@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
@@ -22,26 +24,28 @@ type canonFn func(body []byte) (key string, lambda float64, err error)
 
 func fixedPointKey(body []byte) (string, float64, error) {
 	var spec experiments.FixedPointSpec
-	if err := decodeStrict(bytes.NewReader(body), &spec); err != nil {
-		return "", 0, err
-	}
-	if _, err := spec.BuildModel(); err != nil {
-		return "", 0, err
-	}
-	key, err := canonicalKey("fp", &spec)
+	key, err := modelKey(body, "fp", &spec)
+	mustBuild(body, err, spec.BuildModel)
 	return key, spec.Lambda, err
 }
 
 func odeKey(body []byte) (string, float64, error) {
 	var spec experiments.ODESpec
-	if err := decodeStrict(bytes.NewReader(body), &spec); err != nil {
-		return "", 0, err
-	}
-	if _, err := spec.BuildModel(); err != nil {
-		return "", 0, err
-	}
-	key, err := canonicalKey("ode", &spec)
+	key, err := modelKey(body, "ode", &spec)
+	mustBuild(body, err, spec.BuildModel)
 	return key, spec.Lambda, err
+}
+
+// mustBuild panics when a body the handler accepted (err == nil) names a
+// model that does not build: the hit path validates without building, so
+// the miss path must not then reject what the hit path served.
+func mustBuild(body []byte, err error, build func() (core.Model, error)) {
+	if err != nil {
+		return
+	}
+	if _, err := build(); err != nil {
+		panic(fmt.Sprintf("validated body %q does not build: %v", body, err))
+	}
 }
 
 func simKey(body []byte) (string, float64, error) {
@@ -104,6 +108,8 @@ var fixedPointSeeds = []string{
 	`{"model":"simple","lambda":0.9}`,
 	`{"model":"threshold","lambda":0.7,"t":3}`,
 	`{"model":"multisteal","lambda":0.5,"t":4,"k":2}`,
+	`{"model":"multisteal","lambda":0.5,"t":4,"k":3}`, // 2k > T: only the constructor checked it
+	`{"model":"preemptive","lambda":0.9,"b":3,"t":4}`, // T < b+2: only the constructor checked it
 	`{"model":"stages","lambda":0.8,"c":10,"t":2}`,
 	`{"model":"spawning","lambda":0.6,"li":0.3,"t":2,"tails":8}`,
 	`{"lambda":0.9,"model":"simple"}`, // reordered seed

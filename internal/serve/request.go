@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -59,6 +60,26 @@ func decodeStrict(r io.Reader, v any) error {
 		return errBadRequest("invalid request body: trailing data after the JSON object")
 	}
 	return nil
+}
+
+// modelSpec is a mean-field request spec. A spec that passes Validate
+// after Normalize builds its model.
+type modelSpec interface {
+	Normalize()
+	Validate() error
+}
+
+// modelKey strictly decodes body into spec, normalizes and validates it
+// without building the model, and returns its cache key under prefix.
+func modelKey(body []byte, prefix string, spec modelSpec) (string, error) {
+	if err := decodeStrict(bytes.NewReader(body), spec); err != nil {
+		return "", err
+	}
+	spec.Normalize()
+	if err := spec.Validate(); err != nil {
+		return "", errBadRequest("%v", err)
+	}
+	return canonicalKey(prefix, spec)
 }
 
 // canonicalKey hashes a normalized spec into its cache key. prefix

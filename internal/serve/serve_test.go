@@ -204,6 +204,70 @@ func TestSimulateCoalescing(t *testing.T) {
 	}
 }
 
+// TestAbandonedLeaderFillsCache checks that a coalesced result reaches the
+// cache when the request that started the computation leaves before it
+// ends: the follower still gets the body, and the next identical request
+// is a hit.
+func TestAbandonedLeaderFillsCache(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	// Long enough (about a second) that the leader leaves mid-computation.
+	const body = `{"n":64,"lambda":0.9,"horizon":20000,"warmup":100,"reps":2,"seed":3}`
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leaderDone := make(chan error, 1)
+	go func() {
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/simulate", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := ts.Client().Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		leaderDone <- err
+	}()
+	waiters := func() int {
+		s.flight.mu.Lock()
+		defer s.flight.mu.Unlock()
+		for _, c := range s.flight.m {
+			return c.waiters
+		}
+		return 0
+	}
+	waitFor(t, func() bool { return waiters() == 1 })
+
+	followerDone := make(chan []byte, 1)
+	go func() {
+		resp, err := ts.Client().Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(body))
+		if err != nil {
+			followerDone <- nil
+			return
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			b = nil
+		}
+		followerDone <- b
+	}()
+	waitFor(t, func() bool { return waiters() == 2 })
+	cancel()
+	if err := <-leaderDone; err == nil {
+		t.Fatal("the leader finished before it was cancelled; lengthen the simulation")
+	}
+	got := <-followerDone
+	if got == nil {
+		t.Fatal("the follower got no 200 after the leader left")
+	}
+
+	hits, misses := s.CacheStats()
+	resp, b := post(t, ts, "/v1/simulate", body)
+	if h, m := s.CacheStats(); h != hits+1 || m != misses {
+		t.Fatalf("third request: hits %d→%d, misses %d→%d; want a hit", hits, h, misses, m)
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(b, got) {
+		t.Errorf("third request: status %d, want 200 and the follower's body", resp.StatusCode)
+	}
+}
+
 // TestSimulateOverload is the admission-control acceptance criterion:
 // saturating the queue yields 429 with a Retry-After header, and goroutines
 // do not pile up behind it.

@@ -57,7 +57,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/cliutil"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/meanfield"
 	"repro/internal/metrics"
@@ -105,8 +104,7 @@ type Config struct {
 	// costs one nil/probability check per seam. Leave nil in production.
 	Chaos *chaos.Injector
 	// Breaker tunes the /v1/simulate circuit breaker; zero fields take the
-	// defaults documented on breaker.Config (window 20, threshold 0.5, min
-	// samples 10, cooldown 5s).
+	// breaker.Config defaults.
 	BreakerWindow     int
 	BreakerThreshold  float64
 	BreakerMinSamples int
@@ -139,24 +137,31 @@ type Server struct {
 	draining atomic.Bool
 }
 
+// WithDefaults returns c with its zero settings, and a QueueDepth below
+// one, replaced by their defaults. The Breaker fields stay as they are:
+// breaker.New defaults them.
+func (c Config) WithDefaults() Config {
+	if c.CacheEntries == 0 {
+		c.CacheEntries = 512
+	}
+	if c.QueueDepth <= 0 {
+		c.QueueDepth = 16
+	}
+	if c.SimDeadline == 0 {
+		c.SimDeadline = 60 * time.Second
+	}
+	if c.StreamWriteTimeout == 0 {
+		c.StreamWriteTimeout = 10 * time.Second
+	}
+	if c.Logger == nil {
+		c.Logger = slog.New(slog.DiscardHandler)
+	}
+	return c
+}
+
 // New builds a Server from cfg.
 func New(cfg Config) *Server {
-	if cfg.CacheEntries == 0 {
-		cfg.CacheEntries = 512
-	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = 16
-	}
-	if cfg.SimDeadline == 0 {
-		cfg.SimDeadline = 60 * time.Second
-	}
-	if cfg.StreamWriteTimeout == 0 {
-		cfg.StreamWriteTimeout = 10 * time.Second
-	}
-	logger := cfg.Logger
-	if logger == nil {
-		logger = slog.New(slog.DiscardHandler)
-	}
+	cfg = cfg.WithDefaults()
 	s := &Server{
 		cfg:     cfg,
 		pool:    cfg.Pool,
@@ -165,7 +170,7 @@ func New(cfg Config) *Server {
 		admit:   make(chan struct{}, cfg.QueueDepth),
 		met:     newMeters(),
 		mux:     http.NewServeMux(),
-		log:     logger,
+		log:     cfg.Logger,
 		chaos:   cfg.Chaos,
 		cluster: cfg.Cluster,
 	}
@@ -449,28 +454,39 @@ func renderJSON(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// serveCached implements the shared read path: cache lookup on the
-// canonical key, then a coalesced compute on miss, then cache fill. timeout
-// bounds the compute context (0 = none).
-func (s *Server) serveCached(ctx context.Context, key string, timeout time.Duration,
-	compute func(ctx context.Context) ([]byte, error)) ([]byte, error) {
+// serveCached implements the shared read path: it writes key's body from
+// the result cache on a hit; on a miss, unless relay (when non-nil) has
+// written the response, it computes the body, coalesced with concurrent
+// identical requests, with timeout bounding the compute context (0 =
+// none). The computation fills the cache itself, so its result is kept
+// even when the caller that started it has left.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, timeout time.Duration,
+	relay func() bool, compute func(ctx context.Context) ([]byte, error)) {
 
 	if body, ok := s.cache.Get(key); ok {
 		s.met.cacheHits.Add(1)
-		return body, nil
+		writeBody(w, body)
+		return
+	}
+	if relay != nil && relay() {
+		return // a relayed request is neither a hit nor a miss
 	}
 	s.met.cacheMisses.Add(1)
-	body, err, shared := s.flight.Do(ctx, key, timeout, compute)
+	body, err, shared := s.flight.Do(r.Context(), key, timeout, func(ctx context.Context) ([]byte, error) {
+		body, err := compute(ctx)
+		if err == nil {
+			s.cache.Add(key, body)
+		}
+		return body, err
+	})
 	if shared {
 		s.met.coalesced.Add(1)
 	}
 	if err != nil {
-		return nil, err
+		s.writeError(w, err)
+		return
 	}
-	if !shared { // the leader fills the cache once
-		s.cache.Add(key, body)
-	}
-	return body, nil
+	writeBody(w, body)
 }
 
 // solveError classifies a solve failure: typed numeric failures keep their
@@ -491,32 +507,27 @@ func solveError(err error) error {
 // well-formed but names a computation no engine or workload model provides
 // — while plain parameter errors stay bad requests.
 func simSpecError(err error) error {
-	if errors.Is(err, experiments.ErrEngineSpec) {
-		return &httpError{
-			status: http.StatusUnprocessableEntity,
-			code:   "bad_engine",
-			msg:    err.Error(),
-		}
+	var code string
+	switch {
+	case errors.Is(err, experiments.ErrEngineSpec):
+		code = "bad_engine"
+	case errors.Is(err, experiments.ErrWorkloadSpec):
+		code = "bad_workload"
+	default:
+		return errBadRequest("%v", err)
 	}
-	if errors.Is(err, experiments.ErrWorkloadSpec) {
-		return &httpError{
-			status: http.StatusUnprocessableEntity,
-			code:   "bad_workload",
-			msg:    err.Error(),
-		}
-	}
-	return errBadRequest("%v", err)
+	return &httpError{status: http.StatusUnprocessableEntity, code: code, msg: err.Error()}
 }
 
 // relayToOwner implements cluster request routing for the cached
-// endpoints: on a local cache miss, a request whose consistent-hash owner
-// is a healthy peer is proxied there (so N replicas share one logical
-// cache instead of computing everything N times), and a 200 fills the
-// local cache on the way through. Returns true when the response has been
-// written. False — no cluster, already-forwarded request (loop
-// prevention), local hit, self-owned key, or any forwarding failure —
-// means "serve locally", which is always safe: forwarding is an
-// optimization, never a dependency.
+// endpoints: called on a local cache miss, it proxies a request whose
+// consistent-hash owner is a healthy peer there (so N replicas share one
+// logical cache instead of computing everything N times), and a 200 fills
+// the local cache on the way through. Returns true when the response has
+// been written. False — no cluster, already-forwarded request (loop
+// prevention), self-owned key, or any forwarding failure — means "serve
+// locally", which is always safe: forwarding is an optimization, never a
+// dependency.
 func (s *Server) relayToOwner(w http.ResponseWriter, r *http.Request, route, key string, rawBody []byte) bool {
 	if s.cluster == nil {
 		return false
@@ -524,9 +535,6 @@ func (s *Server) relayToOwner(w http.ResponseWriter, r *http.Request, route, key
 	if r.Header.Get(cluster.ForwardedHeader) != "" {
 		s.cluster.NoteForwardedIn()
 		return false
-	}
-	if _, ok := s.cache.Get(key); ok {
-		return false // a local hit beats a network hop
 	}
 	res, ok := s.cluster.Forward(r.Context(), route, key, rawBody)
 	if !ok {
@@ -571,46 +579,31 @@ func (s *Server) handleODE(w http.ResponseWriter, r *http.Request) {
 	s.serveModel(w, r, "/v1/ode", "ode", &spec, func() (any, error) { return spec.Integrate() })
 }
 
-// serveModel is the shared body of the cached mean-field endpoints: read
-// and strictly decode spec, reject a model that does not build, then relay
-// to the key's cluster owner or serve from the result cache, running solve
-// on a miss and rendering its report as the CLI's -json does.
+// serveModel is the shared body of the cached mean-field endpoints: read,
+// strictly decode and validate spec, then serve from the result cache, or
+// relay to the key's cluster owner, or run solve (which builds the model)
+// and render its report as the CLI's -json does.
 func (s *Server) serveModel(w http.ResponseWriter, r *http.Request, route, keyPrefix string,
-	spec interface{ BuildModel() (core.Model, error) }, solve func() (any, error)) {
+	spec modelSpec, solve func() (any, error)) {
 
 	raw, err := readRaw(r.Body)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if err := decodeStrict(bytes.NewReader(raw), spec); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if _, err := spec.BuildModel(); err != nil {
-		s.writeError(w, errBadRequest("%v", err))
-		return
-	}
-	key, err := canonicalKey(keyPrefix, spec)
+	key, err := modelKey(raw, keyPrefix, spec)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if s.relayToOwner(w, r, route, key, raw) {
-		return
-	}
-	body, err := s.serveCached(r.Context(), key, 0, func(context.Context) ([]byte, error) {
+	relay := func() bool { return s.relayToOwner(w, r, route, key, raw) }
+	s.serveCached(w, r, key, 0, relay, func(context.Context) ([]byte, error) {
 		rep, err := solve()
 		if err != nil {
 			return nil, solveError(err)
 		}
 		return renderJSON(rep)
 	})
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeBody(w, body)
 }
 
 // SimulateRequest is the body of POST /v1/simulate: a simulation spec plus
@@ -646,14 +639,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	spec := req.SimSpec // normalized by Options
-	body, err := s.serveCached(r.Context(), key, timeout, func(ctx context.Context) ([]byte, error) {
+	s.serveCached(w, r, key, timeout, nil, func(ctx context.Context) ([]byte, error) {
 		return s.computeSim(ctx, key, &spec, opts)
 	})
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeBody(w, body)
 }
 
 // computeSim is the admission-controlled slow path of one simulate
@@ -714,12 +702,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "draining")
-		if s.cluster != nil {
-			fmt.Fprintln(w, s.cluster.ClusterStatus())
-		}
-		return
+	} else {
+		fmt.Fprintln(w, "ready")
 	}
-	fmt.Fprintln(w, "ready")
 	// A standalone replica is still ready — it serves everything locally.
 	// The status line makes the degradation observable to operators.
 	if s.cluster != nil {

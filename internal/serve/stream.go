@@ -44,7 +44,8 @@ func (s *Server) handleStreamODE(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	if _, err := spec.BuildModel(); err != nil {
+	spec.Normalize()
+	if err := spec.Validate(); err != nil {
 		s.writeError(w, errBadRequest("%v", err))
 		return
 	}

@@ -68,7 +68,7 @@ func Summarize(means []float64) Summary {
 	}
 	s := Summary{N: int(w.N()), Mean: w.Mean(), Std: w.Std()}
 	if s.N >= 2 {
-		s.Half = tQuantile975(s.N-1) * w.StdErr()
+		s.Half = TQuantile975(s.N-1) * w.StdErr()
 	}
 	return s
 }
@@ -123,7 +123,7 @@ func TOST(s Summary, target, margin float64) TOSTResult {
 		r.Low, r.High = math.Inf(-1), math.Inf(1)
 		return r
 	}
-	half := tQuantile95(s.N-1) * s.StdErr()
+	half := TQuantile95(s.N-1) * s.StdErr()
 	r.Low = r.Diff - half
 	r.High = r.Diff + half
 	r.Equivalent = r.Low > -margin && r.High < margin
@@ -165,20 +165,15 @@ func Welch(a, b Summary) WelchResult {
 	if r.Df < 1 {
 		r.Df = 1
 	}
-	r.Less = r.T < -tQuantile95(r.Df)
+	r.Less = r.T < -TQuantile95(r.Df)
 	return r
 }
 
 // TQuantile95 returns the 0.95 quantile of Student's t distribution with
 // df degrees of freedom (NaN for df ≤ 0) — the one-sided 5% critical value
-// behind TOST and Welch, exported for callers that render the threshold a
-// comparison was held to.
-func TQuantile95(df int) float64 { return tQuantile95(df) }
-
-// tQuantile95 returns the 0.95 quantile of Student's t distribution with df
-// degrees of freedom (the one-sided 5% critical value used by TOST), from a
-// table for small df and the normal approximation beyond it.
-func tQuantile95(df int) float64 {
+// behind TOST and Welch — from a table for small df and the normal
+// approximation beyond it.
+func TQuantile95(df int) float64 {
 	table := []float64{
 		0, // df=0 unused
 		6.314, 2.920, 2.353, 2.132, 2.015, 1.943, 1.895, 1.860, 1.833, 1.812,
@@ -196,14 +191,10 @@ func tQuantile95(df int) float64 {
 
 // TQuantile975 returns the 0.975 quantile of Student's t distribution with
 // df degrees of freedom (NaN for df ≤ 0) — the two-sided 95% critical
-// value behind Summarize's intervals, exported for callers that design
-// fixed-width intervals (Stein's procedure in internal/validate).
-func TQuantile975(df int) float64 { return tQuantile975(df) }
-
-// tQuantile975 returns the 0.975 quantile of Student's t distribution with
-// df degrees of freedom, from a table for small df and the normal
+// value behind Summarize's intervals and Stein's fixed-width intervals in
+// internal/validate — from a table for small df and the normal
 // approximation beyond it. Accuracy is ample for reporting 95% CIs.
-func tQuantile975(df int) float64 {
+func TQuantile975(df int) float64 {
 	table := []float64{
 		0, // df=0 unused
 		12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,

@@ -52,10 +52,8 @@ type Config struct {
 	// Lambdas is the ascending arrival-rate ladder for the E[T]
 	// monotonicity check.
 	Lambdas []float64
-	// Pool, when non-nil, is the shared worker pool to run simulations
-	// on; otherwise the run creates a private pool with Workers workers
-	// (0 = GOMAXPROCS) and closes it before returning.
-	Pool    *sched.Pool
+	// Workers sizes the run's private worker pool (0 = GOMAXPROCS),
+	// closed before Run returns.
 	Workers int
 }
 
@@ -178,11 +176,8 @@ func Run(cfg Config, variants []experiments.Variant, families ...Family) (Report
 	if len(variants) == 0 && len(families) == 0 {
 		return Report{}, fmt.Errorf("validate: no variants to check")
 	}
-	pool := cfg.Pool
-	if pool == nil {
-		pool = sched.New(cfg.Workers)
-		defer pool.Close()
-	}
+	pool := sched.New(cfg.Workers)
+	defer pool.Close()
 
 	// Enqueue every (variant, n) cell before the first analytic check, so
 	// the pool drains simulations while fixed points and ODE trajectories
