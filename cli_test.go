@@ -204,6 +204,17 @@ func TestCLIWstablesRejectsUnknown(t *testing.T) {
 	}
 }
 
+// TestCLIWstablesHelpNamesTables checks that the -table help lists the
+// tables added last to -table all, which it once left out.
+func TestCLIWstablesHelpNamesTables(t *testing.T) {
+	out := run(t, "wstables", "-h")
+	for _, name := range []string{"relaxation", "latency"} {
+		if !strings.Contains(out, ", "+name) {
+			t.Errorf("wstables -h does not name table %q:\n%s", name, out)
+		}
+	}
+}
+
 func TestCLIWsode(t *testing.T) {
 	out := run(t, "wsode", "-model", "simple", "-lambda", "0.8", "-span", "10", "-dt", "2")
 	if !strings.Contains(out, "t,mean_tasks") {

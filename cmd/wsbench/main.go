@@ -299,11 +299,11 @@ func measureThroughput(name string, o sim.Options, runs int) (Throughput, error)
 }
 
 // timeTable builds one table with a private pool of the given size and
-// returns the wall time in seconds.
+// returns the wall time in seconds, pool start-up and shutdown included.
 func timeTable(build func(experiments.Scale) *table.Table, sc experiments.Scale, workers int) float64 {
-	sc.Workers = workers
-	sc.Pool = nil
 	start := time.Now()
+	sc.Pool = sched.New(workers)
 	build(sc)
+	sc.Pool.Close()
 	return time.Since(start).Seconds()
 }

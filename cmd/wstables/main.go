@@ -5,7 +5,8 @@
 // Usage:
 //
 //	wstables [-table all|1|2|3|4|tails|threshold|repeated|multisteal|
-//	          preemptive|rebalance|hetero|static|stability]
+//	          preemptive|rebalance|hetero|static|stability|convergence|
+//	          transient|empirical-tails|relaxation|latency]
 //	         [-full] [-reps N] [-horizon T] [-workers N] [-csv] [-json]
 //	         [-metrics] [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -40,7 +41,10 @@ func main() {
 // the profile flushes — execute on every exit path; main's os.Exit would
 // skip them.
 func run() (code int) {
-	which := flag.String("table", "all", "which table to produce: all, 1, 2, 3, 4, tails, threshold, repeated, multisteal, preemptive, rebalance, hetero, static, stability, convergence, transient, empirical-tails")
+	// order is the canonical emission order of -table all, and names every
+	// table in the -table help and the unknown-table error.
+	order := []string{"1", "2", "3", "4", "tails", "threshold", "repeated", "multisteal", "preemptive", "rebalance", "hetero", "static", "stability", "convergence", "transient", "empirical-tails", "relaxation", "latency"}
+	which := flag.String("table", "all", "which table to produce: all, "+strings.Join(order, ", "))
 	full := flag.Bool("full", false, "use the paper's full simulation scale (10 reps × 100k seconds, n up to 128)")
 	reps := flag.Int("reps", 0, "override the number of replications")
 	horizon := flag.Float64("horizon", 0, "override the simulated horizon")
@@ -128,7 +132,6 @@ func run() (code int) {
 		"relaxation":      func() *table.Table { return experiments.RelaxationStudy([]float64{0.3, 0.5, 0.7, 0.8, 0.9, 0.95}) },
 		"latency":         func() *table.Table { return experiments.TailLatency(0.9, sc) },
 	}
-	order := []string{"1", "2", "3", "4", "tails", "threshold", "repeated", "multisteal", "preemptive", "rebalance", "hetero", "static", "stability", "convergence", "transient", "empirical-tails", "relaxation", "latency"}
 
 	switch *which {
 	case "all":

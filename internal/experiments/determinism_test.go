@@ -36,8 +36,8 @@ var microScale = Scale{
 }
 
 // TestTablesByteIdenticalAcrossWorkers renders each paper table at three
-// scheduler configurations — single worker, many workers, and a shared
-// pool — and requires byte-identical CSV output.
+// scheduler configurations — single worker, many workers, and a builder's
+// private GOMAXPROCS pool — and requires byte-identical CSV output.
 func TestTablesByteIdenticalAcrossWorkers(t *testing.T) {
 	builders := map[string]func(Scale) *table.Table{
 		"table1": Table1,
@@ -49,21 +49,19 @@ func TestTablesByteIdenticalAcrossWorkers(t *testing.T) {
 		name, build := name, build
 		t.Run(name, func(t *testing.T) {
 			serial := microScale
-			serial.Workers = 1
+			serial.Pool = sched.New(1)
+			defer serial.Pool.Close()
 			want := csvBytes(t, build(serial))
 
 			wide := microScale
-			wide.Workers = 8
+			wide.Pool = sched.New(8)
+			defer wide.Pool.Close()
 			if got := csvBytes(t, build(wide)); !bytes.Equal(got, want) {
 				t.Errorf("8-worker output differs from 1-worker output:\n--- workers=1\n%s--- workers=8\n%s", want, got)
 			}
 
-			pool := sched.New(8)
-			defer pool.Close()
-			shared := microScale
-			shared.Pool = pool
-			if got := csvBytes(t, build(shared)); !bytes.Equal(got, want) {
-				t.Errorf("shared-pool output differs from 1-worker output")
+			if got := csvBytes(t, build(microScale)); !bytes.Equal(got, want) {
+				t.Errorf("private-pool output differs from 1-worker output")
 			}
 		})
 	}
@@ -76,16 +74,16 @@ func TestConcurrentBuildersByteIdentical(t *testing.T) {
 	builders := []func(Scale) *table.Table{Table1, Table2, Table3, Table4}
 
 	solo := microScale
-	solo.Workers = 1
+	solo.Pool = sched.New(1)
+	defer solo.Pool.Close()
 	want := make([][]byte, len(builders))
 	for i, build := range builders {
 		want[i] = csvBytes(t, build(solo))
 	}
 
-	pool := sched.New(4)
-	defer pool.Close()
 	shared := microScale
-	shared.Pool = pool
+	shared.Pool = sched.New(4)
+	defer shared.Pool.Close()
 	got := make([][]byte, len(builders))
 	var wg sync.WaitGroup
 	for i, build := range builders {

@@ -33,14 +33,12 @@ type Scale struct {
 	Lambdas []float64
 	// Seed selects the random streams.
 	Seed uint64
-	// Workers bounds the parallel simulation workers (0 = GOMAXPROCS).
-	// Ignored when Pool is set — the pool's own size governs.
-	Workers int
 	// Pool, when non-nil, is the shared experiment scheduler to run every
-	// simulation cell on. Table builders running concurrently on one Pool
-	// interleave their replications across its workers instead of each
-	// spawning their own goroutines. When nil, each table builder creates
-	// a private pool of Workers workers for its own cells.
+	// simulation cell on; its size bounds the parallel simulation workers.
+	// Table builders running concurrently on one Pool interleave their
+	// replications across its workers instead of each spawning their own
+	// goroutines. When nil, each table builder creates a private
+	// GOMAXPROCS-wide pool for its own cells.
 	Pool *sched.Pool
 }
 
@@ -50,7 +48,7 @@ func (sc Scale) scheduler() (*sched.Pool, func()) {
 	if sc.Pool != nil {
 		return sc.Pool, func() {}
 	}
-	p := sched.New(sc.Workers)
+	p := sched.New(0)
 	return p, p.Close
 }
 
@@ -133,13 +131,7 @@ func Table1(sc Scale) *table.Table {
 	cells := make([]*sched.Cell, 0, len(lams)*len(sc.Ns))
 	for _, lam := range lams {
 		for _, n := range sc.Ns {
-			cells = append(cells, submit(p, sim.Options{
-				N:       n,
-				Lambda:  lam,
-				Service: dist.NewExponential(1),
-				Policy:  sim.PolicySteal,
-				T:       2,
-			}, sc))
+			cells = append(cells, submit(p, FixedPointSpec{Model: "simple", Lambda: lam}.SimOptions(n), sc))
 		}
 	}
 	for li, lam := range lams {
@@ -226,14 +218,7 @@ func Table3(sc Scale) *table.Table {
 	cells := make([]*sched.Cell, 0, len(lams)*len(ts))
 	for _, lam := range lams {
 		for _, T := range ts {
-			cells = append(cells, submit(p, sim.Options{
-				N:            n,
-				Lambda:       lam,
-				Service:      dist.NewExponential(1),
-				Policy:       sim.PolicySteal,
-				T:            T,
-				TransferRate: r,
-			}, sc))
+			cells = append(cells, submit(p, FixedPointSpec{Model: "transfer", Lambda: lam, T: T, R: r}.SimOptions(n), sc))
 		}
 	}
 	for li, lam := range lams {
@@ -265,16 +250,8 @@ func Table4(sc Scale) *table.Table {
 	oneCells := make([]*sched.Cell, 0, len(lams))
 	twoCells := make([]*sched.Cell, 0, len(lams))
 	for _, lam := range lams {
-		base := sim.Options{
-			N:       n,
-			Lambda:  lam,
-			Service: dist.NewExponential(1),
-			Policy:  sim.PolicySteal,
-			T:       2,
-		}
-		oneCells = append(oneCells, submit(p, base, sc))
-		base.D = 2
-		twoCells = append(twoCells, submit(p, base, sc))
+		oneCells = append(oneCells, submit(p, FixedPointSpec{Model: "simple", Lambda: lam}.SimOptions(n), sc))
+		twoCells = append(twoCells, submit(p, FixedPointSpec{Model: "choices", Lambda: lam, T: 2, D: 2}.SimOptions(n), sc))
 	}
 	for li, lam := range lams {
 		est := meanfield.MustSolve(meanfield.NewChoices(lam, 2, 2), meanfield.SolveOptions{}).SojournTime()

@@ -128,13 +128,7 @@ func RebalanceStudy(lambda float64, rates []float64, sc Scale) *table.Table {
 	)
 	cells := make([]*sched.Cell, 0, len(rates))
 	for _, r := range rates {
-		cells = append(cells, submit(p, sim.Options{
-			N:             n,
-			Lambda:        lambda,
-			Service:       dist.NewExponential(1),
-			Policy:        sim.PolicyRebalance,
-			RebalanceRate: r,
-		}, sc))
+		cells = append(cells, submit(p, FixedPointSpec{Model: "rebalance", Lambda: lambda, R: r}.SimOptions(n), sc))
 	}
 	for ri, r := range rates {
 		fp := meanfield.MustSolve(meanfield.NewRebalance(lambda, meanfield.ConstRate(r), r), meanfield.SolveOptions{})

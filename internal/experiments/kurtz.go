@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/dist"
 	"repro/internal/meanfield"
 	"repro/internal/numeric"
 	"repro/internal/ode"
@@ -34,13 +33,7 @@ func ConvergenceInN(lambda float64, ns []int, sc Scale) *table.Table {
 	defer release()
 	cells := make([]*sched.Cell, 0, len(ns))
 	for _, n := range ns {
-		cells = append(cells, submit(p, sim.Options{
-			N:       n,
-			Lambda:  lambda,
-			Service: dist.NewExponential(1),
-			Policy:  sim.PolicySteal,
-			T:       2,
-		}, sc))
+		cells = append(cells, submit(p, FixedPointSpec{Model: "simple", Lambda: lambda}.SimOptions(n), sc))
 	}
 	var fitNs, fitGaps []float64
 	for i, n := range ns {
@@ -81,17 +74,9 @@ type TransientResult struct {
 // Transient (X11) runs the simple WS system from empty for `span` time
 // units at n processors and integrates the ODEs on the same grid.
 func Transient(lambda float64, n int, span, every float64, reps int, seed uint64) TransientResult {
-	agg, err := sim.Replication{Reps: reps}.Run(sim.Options{
-		N:           n,
-		Lambda:      lambda,
-		Service:     dist.NewExponential(1),
-		Policy:      sim.PolicySteal,
-		T:           2,
-		Horizon:     span,
-		Warmup:      0,
-		SeriesEvery: every,
-		Seed:        seed,
-	})
+	o := FixedPointSpec{Model: "simple", Lambda: lambda}.SimOptions(n)
+	o.Horizon, o.SeriesEvery, o.Seed = span, every, seed
+	agg, err := sim.Replication{Reps: reps}.Run(o)
 	if err != nil {
 		panic(err)
 	}
@@ -149,14 +134,9 @@ func EmpiricalTails(lambda float64, depth int, sc Scale) *table.Table {
 	n := sc.Ns[len(sc.Ns)-1]
 	p, release := sc.scheduler()
 	defer release()
-	agg := submit(p, sim.Options{
-		N:         n,
-		Lambda:    lambda,
-		Service:   dist.NewExponential(1),
-		Policy:    sim.PolicySteal,
-		T:         2,
-		TailDepth: depth,
-	}, sc).Aggregate()
+	o := FixedPointSpec{Model: "simple", Lambda: lambda}.SimOptions(n)
+	o.TailDepth = depth
+	agg := submit(p, o, sc).Aggregate()
 	cf := meanfield.SolveSimpleWS(lambda)
 	t := table.New(
 		fmt.Sprintf("Empirical tails at λ = %g, n = %d vs fixed point", lambda, n),
@@ -183,18 +163,13 @@ func TailLatency(lambda float64, sc Scale) *table.Table {
 	)
 	p, release := sc.scheduler()
 	defer release()
-	cell := func(policy sim.PolicyKind, T int) *sched.Cell {
-		return submit(p, sim.Options{
-			N:              n,
-			Lambda:         lambda,
-			Service:        dist.NewExponential(1),
-			Policy:         policy,
-			T:              T,
-			SojournHistMax: 60 / (1 - lambda),
-		}, sc)
+	cell := func(model string) *sched.Cell {
+		o := FixedPointSpec{Model: model, Lambda: lambda}.SimOptions(n)
+		o.SojournHistMax = 60 / (1 - lambda)
+		return submit(p, o, sc)
 	}
-	noneCell := cell(sim.PolicyNone, 0)
-	stealCell := cell(sim.PolicySteal, 2)
+	noneCell := cell("nosteal")
+	stealCell := cell("simple")
 	row := func(name string, c *sched.Cell) {
 		agg := c.Aggregate()
 		// Average the per-replication quantiles.

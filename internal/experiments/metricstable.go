@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/dist"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/table"
 )
 
@@ -19,27 +17,14 @@ import (
 // hold it there.
 func MetricsTable(lambda float64, sc Scale) *table.Table {
 	n := sc.Ns[len(sc.Ns)-1]
-	base := sim.Options{
-		N:              n,
-		Lambda:         lambda,
-		Service:        dist.NewExponential(1),
-		Horizon:        sc.Horizon,
-		Warmup:         sc.Warmup,
-		QueueHistDepth: 8,
-		Seed:           sc.Seed,
-	}
 	variants := []struct {
 		name string
-		mod  func(*sim.Options)
+		spec FixedPointSpec
 	}{
-		{"M0 no stealing", func(o *sim.Options) { o.Policy = sim.PolicyNone }},
-		{"M1 simple WS (T=2)", func(o *sim.Options) { o.Policy = sim.PolicySteal; o.T = 2 }},
-		{"M2 two choices (T=2)", func(o *sim.Options) { o.Policy = sim.PolicySteal; o.T = 2; o.D = 2 }},
-		{"M3 transfer (r=0.25, T=4)", func(o *sim.Options) {
-			o.Policy = sim.PolicySteal
-			o.T = 4
-			o.TransferRate = 0.25
-		}},
+		{"M0 no stealing", FixedPointSpec{Model: "nosteal"}},
+		{"M1 simple WS (T=2)", FixedPointSpec{Model: "simple"}},
+		{"M2 two choices (T=2)", FixedPointSpec{Model: "choices", T: 2, D: 2}},
+		{"M3 transfer (r=0.25, T=4)", FixedPointSpec{Model: "transfer", T: 4, R: 0.25}},
 	}
 
 	t := table.New(
@@ -50,9 +35,10 @@ func MetricsTable(lambda float64, sc Scale) *table.Table {
 	defer release()
 	cells := make([]*sched.Cell, len(variants))
 	for i, v := range variants {
-		o := base
-		v.mod(&o)
-		cells[i] = submitRaw(p, o, sc.Reps)
+		v.spec.Lambda = lambda
+		o := v.spec.SimOptions(n)
+		o.QueueHistDepth = 8
+		cells[i] = submit(p, o, sc)
 	}
 	for i, v := range variants {
 		agg := cells[i].Aggregate()

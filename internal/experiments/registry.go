@@ -54,8 +54,9 @@ type Variant struct {
 
 // specVariant builds a Variant from a FixedPointSpec template: Build clones
 // the spec at the requested rate, so the mean-field side is exactly what
-// wsfixed and the serving layer would solve for the same parameters.
-func specVariant(spec FixedPointSpec, simFn func(n int) sim.Options, tails, dominates bool) Variant {
+// wsfixed and the serving layer would solve for the same parameters, and
+// Sim is the spec's own finite-n system.
+func specVariant(spec FixedPointSpec, tails, dominates bool) Variant {
 	return Variant{
 		Name:   spec.Model,
 		Lambda: spec.Lambda,
@@ -64,7 +65,7 @@ func specVariant(spec FixedPointSpec, simFn func(n int) sim.Options, tails, domi
 			sp.Lambda = lambda
 			return sp.BuildModel()
 		},
-		Sim:         simFn,
+		Sim:         spec.SimOptions,
 		TailsState:  tails,
 		Dominates:   dominates,
 		UnitService: true,
@@ -92,60 +93,23 @@ const h2SCV = 4.0
 // The slice is freshly allocated; callers may reorder or filter it.
 func Variants() []Variant {
 	const lam = 0.85
-	exp1 := dist.NewExponential(1)
-	steal := func(mut func(o *sim.Options)) func(n int) sim.Options {
-		return func(n int) sim.Options {
-			o := sim.Options{N: n, Lambda: lam, Service: exp1, Policy: sim.PolicySteal, T: 2}
-			if mut != nil {
-				mut(&o)
-			}
-			return o
-		}
-	}
 	return []Variant{
-		specVariant(FixedPointSpec{Model: "nosteal", Lambda: lam},
-			func(n int) sim.Options {
-				return sim.Options{N: n, Lambda: lam, Service: exp1, Policy: sim.PolicyNone}
-			}, true, false),
-		specVariant(FixedPointSpec{Model: "simple", Lambda: lam},
-			steal(nil), true, true),
-		specVariant(FixedPointSpec{Model: "threshold", Lambda: lam, T: 3},
-			steal(func(o *sim.Options) { o.T = 3 }), true, true),
-		specVariant(FixedPointSpec{Model: "preemptive", Lambda: lam, B: 1, T: 3},
-			steal(func(o *sim.Options) { o.B = 1; o.T = 3 }), true, true),
-		specVariant(FixedPointSpec{Model: "repeated", Lambda: lam, T: 2, R: 1},
-			steal(func(o *sim.Options) { o.RetryRate = 1 }), true, true),
-		specVariant(FixedPointSpec{Model: "choices", Lambda: lam, T: 2, D: 2},
-			steal(func(o *sim.Options) { o.D = 2 }), true, true),
-		specVariant(FixedPointSpec{Model: "multisteal", Lambda: lam, T: 4, K: 2},
-			steal(func(o *sim.Options) { o.T = 4; o.K = 2 }), true, true),
-		specVariant(FixedPointSpec{Model: "stages", Lambda: lam, C: 4, T: 2},
-			func(n int) sim.Options {
-				// Erlang(c) service is exactly the stage model's c
-				// exponential stages, so sim and ODE describe the same
-				// system (no constant-service approximation gap).
-				return sim.Options{N: n, Lambda: lam, Service: dist.ErlangWithMean(4, 1),
-					Policy: sim.PolicySteal, T: 2}
-			}, true, true),
-		specVariant(FixedPointSpec{Model: "transfer", Lambda: lam, T: 4, R: 0.25},
-			steal(func(o *sim.Options) { o.T = 4; o.TransferRate = 0.25 }), false, true),
-		specVariant(FixedPointSpec{Model: "rebalance", Lambda: lam, R: 1},
-			func(n int) sim.Options {
-				return sim.Options{N: n, Lambda: lam, Service: exp1,
-					Policy: sim.PolicyRebalance, RebalanceRate: 1}
-			}, true, true),
-		specVariant(FixedPointSpec{Model: "stealhalf", Lambda: lam, T: 4},
-			steal(func(o *sim.Options) { o.T = 4; o.Half = true }), true, true),
-		specVariant(FixedPointSpec{Model: "spawning", Lambda: lam, LI: 0.3, T: 2},
-			func(n int) sim.Options {
-				// The spec's λ is the effective utilization; the external
-				// rate is λ(1−li) and busy processors spawn at rate li,
-				// mirroring FixedPointSpec.BuildModel.
-				return sim.Options{N: n, Lambda: lam * (1 - 0.3), LambdaInt: 0.3,
-					Service: exp1, Policy: sim.PolicySteal, T: 2}
-			}, true, true),
-		specVariant(FixedPointSpec{Model: "repeated-transfer", Lambda: lam, T: 3, RA: 1, R: 0.5},
-			steal(func(o *sim.Options) { o.T = 3; o.RetryRate = 1; o.TransferRate = 0.5 }), false, true),
+		specVariant(FixedPointSpec{Model: "nosteal", Lambda: lam}, true, false),
+		specVariant(FixedPointSpec{Model: "simple", Lambda: lam}, true, true),
+		specVariant(FixedPointSpec{Model: "threshold", Lambda: lam, T: 3}, true, true),
+		specVariant(FixedPointSpec{Model: "preemptive", Lambda: lam, B: 1, T: 3}, true, true),
+		specVariant(FixedPointSpec{Model: "repeated", Lambda: lam, T: 2, R: 1}, true, true),
+		specVariant(FixedPointSpec{Model: "choices", Lambda: lam, T: 2, D: 2}, true, true),
+		specVariant(FixedPointSpec{Model: "multisteal", Lambda: lam, T: 4, K: 2}, true, true),
+		// Erlang(c) service is exactly the stage model's c exponential
+		// stages, so sim and ODE describe the same system (no
+		// constant-service approximation gap).
+		specVariant(FixedPointSpec{Model: "stages", Lambda: lam, C: 4, T: 2}, true, true),
+		specVariant(FixedPointSpec{Model: "transfer", Lambda: lam, T: 4, R: 0.25}, false, true),
+		specVariant(FixedPointSpec{Model: "rebalance", Lambda: lam, R: 1}, true, true),
+		specVariant(FixedPointSpec{Model: "stealhalf", Lambda: lam, T: 4}, true, true),
+		specVariant(FixedPointSpec{Model: "spawning", Lambda: lam, LI: 0.3, T: 2}, true, true),
+		specVariant(FixedPointSpec{Model: "repeated-transfer", Lambda: lam, T: 3, RA: 1, R: 0.5}, false, true),
 		{
 			// Workload variant: H2 service with SCV 4 under basic stealing.
 			// The mean-field side is the generalized phase-type stage model,
@@ -186,7 +150,7 @@ func Variants() []Variant {
 				})
 			},
 			Sim: func(n int) sim.Options {
-				return sim.Options{N: n, Service: exp1, Policy: sim.PolicySteal, T: heteroT,
+				return sim.Options{N: n, Service: dist.NewExponential(1), Policy: sim.PolicySteal, T: heteroT,
 					Classes: []sim.Class{
 						{Frac: heteroQ, Lambda: heteroLf, Rate: heteroMuF},
 						{Frac: 1 - heteroQ, Lambda: heteroLs, Rate: heteroMuS},

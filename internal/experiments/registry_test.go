@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/meanfield"
 	"repro/internal/sim"
 )
 
@@ -70,5 +73,54 @@ func TestVariantByName(t *testing.T) {
 	names := VariantNames()
 	if len(names) != len(Variants()) || names[0] != "nosteal" {
 		t.Errorf("VariantNames = %v", names)
+	}
+}
+
+// TestSpecVariantsAgreeWithFluid ties every spec-backed variant's finite-n
+// options to its mean-field model. The fluid engine integrates the model
+// that sim derives from the options, and its time-averaged load must match
+// the mean tasks at the fixed point of the model the spec builds. The
+// fluid engine has no rebalance or spawning model, so exactly those two
+// must be rejected.
+func TestSpecVariantsAgreeWithFluid(t *testing.T) {
+	unsupported := map[string]string{
+		"rebalance": "pairwise rebalancing is not supported",
+		"spawning":  "internal spawning is not supported",
+	}
+	for _, v := range Variants() {
+		if !slices.Contains(FixedPointModels, v.Name) {
+			continue
+		}
+		o := v.Sim(64)
+		o.Engine = sim.EngineFluid
+		o.Horizon, o.Warmup = 1000, 500
+		if v.Name == "nosteal" {
+			// M/M/1 at λ = 0.85 relaxes from empty far more slowly than
+			// any stealing system.
+			o.Horizon, o.Warmup = 2000, 1500
+		}
+		res, err := sim.Run(o)
+		if want, ok := unsupported[v.Name]; ok {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: fluid error %v, want one containing %q", v.Name, err, want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: fluid run: %v", v.Name, err)
+			continue
+		}
+		m, err := v.Build(v.Lambda)
+		if err != nil {
+			t.Fatalf("%s: Build: %v", v.Name, err)
+		}
+		fp, err := meanfield.Solve(m, meanfield.SolveOptions{})
+		if err != nil {
+			t.Fatalf("%s: Solve: %v", v.Name, err)
+		}
+		want := fp.MeanTasks()
+		if rel := math.Abs(res.MeanLoad-want) / want; rel > 1e-5 {
+			t.Errorf("%s: fluid mean load %.8g, fixed point %.8g (rel. gap %.2g)", v.Name, res.MeanLoad, want, rel)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/meanfield"
 	"repro/internal/metrics"
 	"repro/internal/numeric"
@@ -186,6 +187,44 @@ func (s *FixedPointSpec) BuildModel() (core.Model, error) {
 		}
 		return nil
 	})
+}
+
+// SimOptions returns the n-processor system whose mean-field limit
+// BuildModel constructs: the same arrival rate, stealing discipline and
+// parameters, with Exp(1) service (Erlang with C stages of total mean 1
+// for "stages"). Horizon, Warmup, Seed and the sampling fields are left
+// zero for the caller to fill. It does not validate: sim.Options.Validate
+// rejects a bad combination when the cell runs.
+func (s FixedPointSpec) SimOptions(n int) sim.Options {
+	s.Normalize()
+	o := sim.Options{N: n, Lambda: s.Lambda, Service: dist.NewExponential(1), Policy: sim.PolicySteal, T: s.T}
+	switch s.Model {
+	case "nosteal":
+		o.Policy, o.T = sim.PolicyNone, 0
+	case "preemptive":
+		o.B = s.B
+	case "repeated":
+		o.RetryRate = s.R
+	case "choices":
+		o.D = s.D
+	case "multisteal":
+		o.K = s.K
+	case "stages":
+		o.Service = dist.ErlangWithMean(s.C, 1)
+	case "transfer":
+		o.TransferRate = s.R
+	case "rebalance":
+		o.Policy, o.T, o.RebalanceRate = sim.PolicyRebalance, 0, s.R
+	case "stealhalf":
+		o.Half = true
+	case "spawning":
+		// λ is the effective utilization, as in BuildModel: external
+		// arrivals at λ(1−li), and busy processors spawn at rate li.
+		o.Lambda, o.LambdaInt = s.Lambda*(1-s.LI), s.LI
+	case "repeated-transfer":
+		o.RetryRate, o.TransferRate = s.RA, s.R
+	}
+	return o
 }
 
 // TryBuild calls a model constructor and returns its model, or an error

@@ -53,7 +53,7 @@ func BenchmarkConstantService(b *testing.B) {
 }
 
 func BenchmarkWithTailSampling(b *testing.B) {
-	benchRun(b, Options{N: 128, Lambda: 0.9, Service: dist.NewExponential(1), Policy: PolicySteal, T: 2, TailDepth: 16, TailEvery: 1})
+	benchRun(b, Options{N: 128, Lambda: 0.9, Service: dist.NewExponential(1), Policy: PolicySteal, T: 2, TailDepth: 16})
 }
 
 func BenchmarkStealHalf(b *testing.B) {

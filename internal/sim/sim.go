@@ -126,17 +126,16 @@ type Options struct {
 
 	// TailDepth, when positive, makes the run sample the empirical tail
 	// vector s_0..s_{TailDepth−1} (fraction of processors with at least i
-	// tasks) at fixed intervals after warmup, reported in Result.Tails —
-	// directly comparable to the mean-field π_i.
+	// tasks) every (Horizon−Warmup)/1000 time units after warmup (every 1
+	// when that is not positive), reported in Result.Tails — directly
+	// comparable to the mean-field π_i.
 	TailDepth int
-	// TailEvery is the sampling interval; 0 picks (Horizon−Warmup)/1000.
-	TailEvery float64
 	// SeriesEvery, when positive, records the mean load per processor on a
 	// fixed grid from t = 0 (Result.SeriesTimes/SeriesLoads) so simulated
 	// transients can be compared with integrated ODE trajectories.
 	SeriesEvery float64
 	// QueueHistDepth, when positive, samples a queue-length histogram on
-	// the same post-warmup tick as the tail sampler (cadence TailEvery):
+	// the same post-warmup tick as the tail sampler (see TailDepth):
 	// Result.Metrics.QueueHist[i] is the fraction of processors holding
 	// exactly i tasks, with bucket QueueHistDepth−1 absorbing all longer
 	// queues. Comparable to the mean-field occupancies π_i − π_{i+1}.

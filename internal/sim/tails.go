@@ -62,17 +62,15 @@ func (ts *tailSampler) tails() []float64 {
 // scheduleFirstSample arms the post-warmup sampling chain shared by the
 // tail sampler (Options.TailDepth) and the queue-length histogram of the
 // metrics layer (Options.QueueHistDepth). Both snapshot on the same
-// evSample tick at the TailEvery cadence.
+// evSample tick, every (Horizon−Warmup)/1000 time units (1 when that is
+// not positive).
 func (c *procCore) scheduleFirstSample() {
 	if c.o.TailDepth <= 0 && c.o.QueueHistDepth <= 0 {
 		return
 	}
-	every := c.o.TailEvery
+	every := (c.o.Horizon - c.o.Warmup) / 1000
 	if every <= 0 {
-		every = (c.o.Horizon - c.o.Warmup) / 1000
-		if every <= 0 {
-			every = 1
-		}
+		every = 1
 	}
 	c.sampleEvery = every
 	if c.o.TailDepth > 0 {
